@@ -130,21 +130,22 @@ class BottleneckModel(ArcModel):
         arrivals = inflow.shifted(c)
         exits = _point_queue_exits(arrivals, cap)
         hs = np.union1d(inflow.times, exits.times - c)
-        xs: list[float] = []
-        ys: list[float] = []
-        for h in hs:
-            served = exits.value(h + c)
-            q_left = max(0.0, inflow.left_value(h) - served)
-            q_right = max(0.0, inflow.value(h) - served)
-            y_left = h + c + q_left / cap
-            y_right = h + c + q_right / cap
-            xs.append(float(h))
-            ys.append(float(y_left))
-            if y_right != y_left:
-                xs.append(float(h))
-                ys.append(float(y_right))
-        curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+        served = exits.values(hs + c)
+        y_left = hs + c + _positive_part(inflow.left_values(hs) - served) / cap
+        y_right = hs + c + _positive_part(inflow.values(hs) - served) / cap
+        # (h, y_left) at every entry instant, then (h, y_right) where they
+        # differ: an atom entering at h makes the curve jump there
+        keep = np.ones(2 * hs.size, dtype=bool)
+        keep[1::2] = y_right != y_left
+        xs = np.repeat(hs, 2)[keep]
+        ys = np.column_stack([y_left, y_right]).ravel()[keep]
+        curve = ExitTimeCurve(xs, ys, 1.0, 1.0)
         return ExitProfile(curve, exits)
+
+
+def _positive_part(v: np.ndarray) -> np.ndarray:
+    """``max(0.0, v)`` elementwise, the same bits as the scalar builtin."""
+    return np.where(v > 0.0, v, 0.0)
 
 
 def _point_queue_exits(arrivals: CumulativeFlow, capacity: float) -> CumulativeFlow:

@@ -83,7 +83,6 @@ def cmd_solve(args) -> int:
         bin_width=h.end / args.bins,
         max_iters=args.max_iters,
         tolerance=args.tol,
-        seed=args.seed,
     )
     state = solve_wardrop(scenario.network, scenario.demand, config)
     bundle = load(scenario.network, state.flows)
@@ -113,7 +112,6 @@ def cmd_solve_dtc(args) -> int:
         bin_width=h.end / args.bins,
         max_iters=args.max_iters,
         tolerance=args.tol,
-        seed=args.seed,
     )
     state = solve_departure_choice(scenario.network, scenario.classes, config, h)
     bundle = load(scenario.network, state.flows)
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("scenario", help="scenario file")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("load", help="network loading only")
     common(sp)
@@ -227,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="probe arc models for behavioural conformance")
     common(sp)
     sp.add_argument("--probes", type=int, default=200)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the random probe inflows")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("oracle", help="grid loader cross-check against the exact loader")

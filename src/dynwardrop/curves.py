@@ -75,8 +75,35 @@ class PiecewiseLinearMap:
             return float(ys[i])
         return float(ys[i] + (x - xs[i]) * (ys[j] - ys[i]) / dx)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.value(float(v)) for v in np.asarray(x, dtype=float)])
+    def values(self, x) -> np.ndarray:
+        """``value`` at every point of ``x``, bit for bit, in one pass."""
+        x = np.asarray(x, dtype=float)
+        return self._between(x, np.searchsorted(self.xs, x, side="right") - 1)
+
+    def left_values(self, x) -> np.ndarray:
+        """``left_value`` at every point of ``x``, bit for bit, in one pass."""
+        x = np.asarray(x, dtype=float)
+        return self._between(x, np.searchsorted(self.xs, x, side="left") - 1)
+
+    def _between(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Map at x read off the piece from vertex i to vertex i + 1.
+
+        i = -1 and i = last select the boundary extensions, and a piece of
+        zero width (a jump) reads its left vertex, as in ``value``.
+        """
+        xs, ys = self.xs, self.ys
+        last = xs.size - 1
+        k = np.clip(i, 0, last)
+        k1 = np.minimum(k + 1, last)
+        dx = xs[k1] - xs[k]
+        # every branch is computed everywhere; the discarded ones may divide
+        # by a zero or tiny width, or meet infinite x
+        with np.errstate(all="ignore"):
+            inside = ys[k] + (x - xs[k]) * (ys[k1] - ys[k]) / dx
+            below = ys[0] + self.lo_slope * (x - xs[0])
+            above = ys[-1] + self.hi_slope * (x - xs[-1])
+        inside = np.where(dx == 0.0, ys[k], inside)
+        return np.where(i < 0, below, np.where(i >= last, above, inside))
 
     # -- inversion ---------------------------------------------------------
 

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .arcs import _positive_part
 from .errors import DegenerateDemand, NoRoute, ValidationError
 from .flows import CumulativeFlow, Horizon, sum_flows
 from .network import Network, RouteFlowPattern, TravelTimePattern, load, route_times
@@ -101,7 +102,6 @@ class SolverConfig:
     tie_tolerance: float = 1e-12
     logit_start: float = 0.5
     logit_floor: float = 0.025
-    seed: int = 0
 
     def __post_init__(self):
         if self.bin_width <= 0 or self.tolerance <= 0:
@@ -340,39 +340,36 @@ def _class_utilities(
     times: TravelTimePattern,
     edges: np.ndarray,
 ) -> np.ndarray:
-    """Bin-averaged utility of each (route, bin) option for one class."""
-    out = np.empty((len(rset), edges.size - 1))
+    """Bin-averaged utility of each (route, bin) option for one class.
+
+    The utility is linear between the bin edges, the arrival curve's kinks
+    and the instants whose arrival crosses ``h_star``, so the trapezoid rule
+    on those points is exact.
+    """
+    bins = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    out = np.empty((len(rset), bins))
     for k, rid in enumerate(rset):
         arr = times.arrivals[rid]
-        for b in range(edges.size - 1):
-            lo, hi = float(edges[b]), float(edges[b + 1])
-            pts = [lo, hi]
-            for x in arr.xs:
-                if lo < x < hi:
-                    pts.append(float(x))
-            # break where the arrival crosses the preferred instant
-            c = arr.preimage_sup(cls.h_star)
-            if lo < c < hi:
-                pts.append(float(c))
-            c = arr.preimage_inf(cls.h_star)
-            if lo < c < hi:
-                pts.append(float(c))
-            pts_a = np.unique(np.array(pts))
-            total = 0.0
-            for a, b2 in zip(pts_a[:-1], pts_a[1:]):
-                u_a = _utility_at(cls, arr, a)
-                u_b = _utility_at(cls, arr, b2, left=True)
-                total += 0.5 * (u_a + u_b) * (b2 - a)
-            out[k, b] = total / (hi - lo)
+        cross = np.array([arr.preimage_sup(cls.h_star), arr.preimage_inf(cls.h_star)])
+        inner = np.concatenate([arr.xs, cross])
+        pts = np.unique(np.concatenate([edges, inner[(inner > lo) & (inner < hi)]]))
+        u_a = _utilities(cls, arr.values(pts[:-1]), pts[:-1])
+        u_b = _utilities(cls, arr.left_values(pts[1:]), pts[1:])
+        pieces = 0.5 * (u_a + u_b) * np.diff(pts)
+        # np.add.at adds each bin's pieces one at a time, left to right, so a
+        # bin's sum rounds exactly as a running total over its pieces would
+        totals = np.zeros(bins)
+        np.add.at(totals, np.searchsorted(edges, pts[:-1], side="right") - 1, pieces)
+        out[k] = totals / np.diff(edges)
     return out
 
 
-def _utility_at(cls: UserClass, arrival_curve, h: float, left: bool = False) -> float:
-    a = arrival_curve.left_value(h) if left else arrival_curve.value(h)
-    travel = a - h
-    early = max(0.0, cls.h_star - a)
-    late = max(0.0, a - cls.h_star)
-    return -cls.alpha * travel - cls.beta * early - cls.gamma * late
+def _utilities(cls: UserClass, arrivals: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Utility of departing at each of hs, given the arrival instants."""
+    early = _positive_part(cls.h_star - arrivals)
+    late = _positive_part(arrivals - cls.h_star)
+    return -cls.alpha * (arrivals - hs) - cls.beta * early - cls.gamma * late
 
 
 def solve_departure_choice(

@@ -107,11 +107,14 @@ class CumulativeFlow:
         segs = [s for s in segs if s[2] > 0]
         if not segs:
             return CumulativeFlow.zero()
-        bounds = np.unique(np.concatenate([[a, b] for a, b, _ in segs]))
+        starts, ends, seg_rates = np.array(segs).T
+        bounds = np.unique(np.concatenate([starts, ends]))
         mids = (bounds[:-1] + bounds[1:]) / 2
+        # (segment, piece) pairs in row-major order, so each piece adds the
+        # rates of its covering segments in input order
+        seg, piece = np.nonzero((mids > starts[:, None]) & (mids < ends[:, None]))
         rates = np.zeros(len(mids))
-        for a, b, r in segs:
-            rates[(mids > a) & (mids < b)] += r
+        np.add.at(rates, piece, seg_rates[seg])
         times = bounds
         slopes = np.append(rates, 0.0)
         cums = np.concatenate([[0.0], np.cumsum(rates * np.diff(bounds))])
@@ -172,6 +175,30 @@ class CumulativeFlow:
         if i < 0:
             return 0.0
         return float(self.cums[i] + self.slopes[i] * (h - self.times[i]))
+
+    def values(self, hs) -> np.ndarray:
+        """``value`` at every point of ``hs``, bit for bit, in one pass."""
+        hs = np.asarray(hs, dtype=float)
+        if self.is_zero:
+            return np.zeros(hs.shape)
+        i = np.searchsorted(self.times, hs, side="right") - 1
+        k = np.maximum(i, 0)
+        inside = self.cums[k] + self.slopes[k] * (hs - self.times[k])
+        return np.where(i < 0, 0.0, inside)
+
+    def left_values(self, hs) -> np.ndarray:
+        """``left_value`` at every point of ``hs``, bit for bit, in one pass."""
+        hs = np.asarray(hs, dtype=float)
+        if self.is_zero:
+            return np.zeros(hs.shape)
+        j = np.searchsorted(self.times, hs, side="left")
+        at = np.minimum(j, self.times.size - 1)
+        on_vertex = (j < self.times.size) & (self.times[at] == hs)
+        k = np.maximum(j - 1, 0)
+        inside = self.cums[k] + self.slopes[k] * (hs - self.times[k])
+        return np.where(
+            on_vertex, self.cums[at] - self.atoms[at], np.where(j < 1, 0.0, inside)
+        )
 
     def atom_mass(self, h: float) -> float:
         """Point mass sitting exactly at h."""

@@ -168,8 +168,6 @@ def flowing(
         # curve has one, plus preimages of the share's vertices
         taus = set(float(t) for t in exit_total.times)
         for m in ms:
-            lo = exit_total.times[0] if not exit_total.is_zero else 0.0
-            hi = exit_total.times[-1] if not exit_total.is_zero else 0.0
             # invert the exit cumulative at mass level m
             taus.add(_mass_preimage(exit_total, float(m)))
         taus_a = np.array(sorted(t for t in taus if np.isfinite(t)))

@@ -25,3 +25,18 @@ def curve_linf(f: CumulativeFlow, g: CumulativeFlow, extra: np.ndarray | None = 
 def flows_identical(f: CumulativeFlow, g: CumulativeFlow) -> bool:
     """Breakpoint-for-breakpoint equality."""
     return f == g
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and identical float64 bit patterns (so 0.0 differs from -0.0)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_flow_bits(f: CumulativeFlow, g: CumulativeFlow) -> bool:
+    """Every stored array of the two flows has the same bits."""
+    return all(
+        same_bits(getattr(f, name), getattr(g, name))
+        for name in ("times", "cums", "atoms", "slopes")
+    )

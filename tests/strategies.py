@@ -1,0 +1,55 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from dynwardrop.arcs import BottleneckModel
+from dynwardrop.curves import PiecewiseLinearMap
+from dynwardrop.flows import CumulativeFlow, sum_flows
+
+times_st = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+mass_st = st.floats(min_value=0.01, max_value=5.0, allow_nan=False)
+rate_st = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+#: probe instants: inside, at the edge of and beyond the strategies' supports
+probe_st = st.lists(st.floats(min_value=-3.0, max_value=16.0, allow_nan=False), max_size=8)
+bottlenecks_st = st.builds(
+    BottleneckModel,
+    st.floats(min_value=0.05, max_value=2.0),
+    st.floats(min_value=0.1, max_value=3.0),
+)
+
+
+@st.composite
+def flows_st(draw):
+    parts = []
+    n_seg = draw(st.integers(min_value=0, max_value=4))
+    for _ in range(n_seg):
+        a = draw(times_st)
+        width = draw(st.floats(min_value=0.01, max_value=5.0))
+        r = draw(rate_st)
+        if r > 0:
+            parts.append(CumulativeFlow.constant_rate(a, a + width, r))
+    n_atoms = draw(st.integers(min_value=0, max_value=3))
+    for _ in range(n_atoms):
+        parts.append(CumulativeFlow.atom_at(draw(times_st), draw(mass_st)))
+    return sum_flows(parts)
+
+
+@st.composite
+def maps_st(draw, slope_st=st.floats(min_value=0.0, max_value=3.0)):
+    """Maps with repeated abscissae (jumps), boundary slopes drawn from slope_st."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    x_st = st.sampled_from([0.0, 0.5, 1.25, 2.0, 3.0]) | times_st
+    xs = sorted(draw(st.lists(x_st, min_size=n, max_size=n)))
+    ys = draw(st.lists(st.floats(min_value=-5.0, max_value=10.0), min_size=n, max_size=n))
+    return PiecewiseLinearMap(np.array(xs), np.array(ys), draw(slope_st), draw(slope_st))
+
+
+def probe_points(knots: np.ndarray, extra) -> np.ndarray:
+    """The knots, the midpoints between them, one point beyond each end, and extra."""
+    pts = [np.asarray(extra, dtype=float), np.array([0.0])]
+    if knots.size:
+        pts += [knots, (knots[:-1] + knots[1:]) / 2, [knots[0] - 1.0, knots[-1] + 1.0]]
+    return np.concatenate(pts)

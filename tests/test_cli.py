@@ -2,6 +2,8 @@
 
 import csv
 
+import pytest
+
 from dynwardrop.cli import main
 
 TWO_ROUTES = """\
@@ -197,3 +199,21 @@ def test_oracle_diff_shrinks_and_reproduces_gap(tmp_path):
     # the re-ingested tables reproduce the solver's final gap
     solve_summary = _read_summary(out / "summary.txt")
     assert abs(float(summary["reingested_gap"]) - float(solve_summary["gap"])) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["load", "solve", "solve-dtc", "oracle"])
+def test_seed_is_rejected_where_nothing_is_random(command, tmp_path, capsys):
+    scn = tmp_path / "dtc.scn"
+    scn.write_text(DTC)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(scn), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_check_still_takes_a_seed(tmp_path):
+    scn = tmp_path / "model.scn"
+    scn.write_text(BAD_MODEL)
+    out = tmp_path / "out"
+    assert main(["check", str(scn), "--probes", "5", "--seed", "3", "--out", str(out)]) == 0
+    assert _read_summary(out / "summary.txt")["all_passed"] == "true"

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynwardrop import equilibrium
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
 from dynwardrop.equilibrium import (
     DemandTable,
@@ -16,7 +18,11 @@ from dynwardrop.equilibrium import (
 )
 from dynwardrop.errors import DegenerateDemand, NoRoute, ValidationError
 from dynwardrop.flows import CumulativeFlow, Horizon
-from dynwardrop.network import Arc, Network, load, route_times
+from dynwardrop.network import Arc, Network, TravelTimePattern, load, route_times
+
+import loop_reference
+from helpers import same_bits, same_flow_bits
+from strategies import bottlenecks_st, flows_st, maps_st
 
 
 def parallel(models: dict[str, object]) -> Network:
@@ -224,3 +230,82 @@ def test_class_validation():
         UserClass("A", "B", mass=0.0)
     with pytest.raises(ValidationError):
         UserClass("A", "B", mass=1.0, alpha=0.0)
+
+
+# -- batched departure-choice path against its loop version ----------------------
+
+@st.composite
+def arrival_curve_st(draw):
+    """A bottleneck exit curve (jumps where the inflow has atoms), or a map
+    that extends with slope one like every route's arrival curve."""
+    if draw(st.booleans()):
+        return draw(maps_st(slope_st=st.just(1.0)))
+    return draw(bottlenecks_st).exit_profile(draw(flows_st())).curve
+
+
+@given(
+    st.lists(arrival_curve_st(), min_size=1, max_size=3),
+    st.floats(min_value=-1.0, max_value=12.0),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([4.0, 10.0, 12.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_class_utilities_match_loop_reference_bits(curves, h_star, alpha, beta, gamma, bins, end):
+    cls = UserClass("A", "B", mass=1.0, h_star=h_star, alpha=alpha, beta=beta, gamma=gamma)
+    rset = [f"r{k}" for k in range(len(curves))]
+    times = TravelTimePattern(dict(zip(rset, curves)), Horizon(end))
+    edges = np.linspace(0.0, end, bins + 1)
+    assert same_bits(
+        equilibrium._class_utilities(cls, rset, times, edges),
+        loop_reference.class_utilities(cls, rset, times, edges),
+    )
+
+
+def _scheduling_instance():
+    # the acceptance suite's departure-time choice instance, cut to 120 iterations
+    net = parallel({"srv": BottleneckModel(0.1, 1.0)})
+    cls = UserClass("A", "B", mass=1.0, h_star=2.0, alpha=1.0, beta=0.5, gamma=2.0)
+    return net, [cls], SolverConfig(bin_width=1.0 / 64.0, max_iters=120, tolerance=1e-2), H4
+
+
+def _fixed_departure_instance():
+    # test_fixed_departure_class_only_picks_routes
+    net = parallel({"r1": ConstantModel(1.0), "r2": ConstantModel(2.0)})
+    cls = UserClass("A", "B", mass=2.0, departure_rate=CumulativeFlow.constant_rate(0.0, 1.0, 2.0))
+    config = SolverConfig(
+        bin_width=0.25, max_iters=80, tolerance=1e-6, step_rule="fixed", fixed_step=0.5
+    )
+    return net, [cls], config, H4
+
+
+def _mixed_bottleneck_instance():
+    # two queued routes shared by a fixed-departure class and a choosing one
+    net = parallel({"r1": BottleneckModel(0.2, 1.0), "r2": BottleneckModel(0.4, 1.5)})
+    commuters = UserClass(
+        "A", "B", mass=1.5, departure_rate=CumulativeFlow.constant_rate(0.5, 2.0, 1.0)
+    )
+    choosers = UserClass("A", "B", mass=1.0, h_star=2.0, alpha=1.0, beta=0.5, gamma=2.0)
+    return net, [commuters, choosers], SolverConfig(bin_width=0.125, max_iters=60), H4
+
+
+@pytest.mark.parametrize(
+    "instance", [_scheduling_instance, _fixed_departure_instance, _mixed_bottleneck_instance]
+)
+def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
+    got = solve_departure_choice(*instance())
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "_class_utilities", loop_reference.class_utilities)
+        m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
+        m.setattr(CumulativeFlow, "piecewise_rate", staticmethod(loop_reference.piecewise_rate))
+        want = solve_departure_choice(*instance())
+    assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])
+    assert got.flows.keys() == want.flows.keys()
+    for rid in want.flows:
+        assert same_flow_bits(got.flows[rid], want.flows[rid])
+        assert same_bits(got.times.arrivals[rid].xs, want.times.arrivals[rid].xs)
+        assert same_bits(got.times.arrivals[rid].ys, want.times.arrivals[rid].ys)
+    for i in want.splits:
+        assert same_bits(got.splits[i], want.splits[i])

@@ -2,36 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynwardrop.curves import ExitTimeCurve
 from dynwardrop.errors import FifoViolation
 from dynwardrop.flows import CumulativeFlow, sum_flows, pushforward
 
-from helpers import curve_linf
-
-
-# -- strategies -------------------------------------------------------------
-
-times_st = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
-mass_st = st.floats(min_value=0.01, max_value=5.0, allow_nan=False)
-rate_st = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
-
-
-@st.composite
-def flows_st(draw):
-    parts = []
-    n_seg = draw(st.integers(min_value=0, max_value=4))
-    for _ in range(n_seg):
-        a = draw(times_st)
-        width = draw(st.floats(min_value=0.01, max_value=5.0))
-        r = draw(rate_st)
-        if r > 0:
-            parts.append(CumulativeFlow.constant_rate(a, a + width, r))
-    n_atoms = draw(st.integers(min_value=0, max_value=3))
-    for _ in range(n_atoms):
-        parts.append(CumulativeFlow.atom_at(draw(times_st), draw(mass_st)))
-    return sum_flows(parts)
+import loop_reference
+from helpers import curve_linf, same_bits, same_flow_bits
+from strategies import (
+    bottlenecks_st, flows_st, maps_st, probe_points, probe_st, rate_st, times_st,
+)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -65,6 +46,42 @@ def test_measure_is_finitely_additive(f, a, b, c):
     lhs = f.mass_between(a, c)
     rhs = f.mass_between(a, b) + f.mass_between(b, c)
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + f.total))
+
+
+# -- batched evaluation ------------------------------------------------------
+
+def _assert_batched_flow_bits(f, hs):
+    assert same_bits(f.values(hs), [f.value(h) for h in hs])
+    assert same_bits(f.left_values(hs), [f.left_value(h) for h in hs])
+
+
+def _assert_batched_map_bits(m, xs):
+    assert same_bits(m.values(xs), [m.value(x) for x in xs])
+    assert same_bits(m.left_values(xs), [m.left_value(x) for x in xs])
+
+
+@given(flows_st(), probe_st)
+@example(CumulativeFlow.zero(), [-1.0, 2.5])
+@settings(max_examples=300, deadline=None)
+def test_batched_flow_evaluation_matches_scalar_bits(f, extra):
+    # breakpoints (atoms included), segment midpoints, beyond the support
+    _assert_batched_flow_bits(f, probe_points(f.times, extra))
+
+
+@given(maps_st(), probe_st)
+@settings(max_examples=300, deadline=None)
+def test_batched_map_evaluation_matches_scalar_bits(m, extra):
+    # repeated abscissae, boundary slopes, points on both extensions
+    _assert_batched_map_bits(m, probe_points(m.xs, extra))
+
+
+@given(flows_st(), bottlenecks_st, probe_st)
+@settings(max_examples=200, deadline=None)
+def test_batched_exit_curve_evaluation_matches_scalar_bits(f, model, extra):
+    # the atoms of f become jumps of the bottleneck's exit curve
+    profile = model.exit_profile(f)
+    _assert_batched_map_bits(profile.curve, probe_points(profile.curve.xs, extra))
+    _assert_batched_flow_bits(profile.outflow, probe_points(profile.outflow.times, extra))
 
 
 # -- restriction ------------------------------------------------------------
@@ -211,3 +228,34 @@ def test_pushforward_conserves_mass(f, delta):
     )
     g = pushforward(f, curve)
     assert g.total == pytest.approx(f.total, rel=1e-12, abs=1e-12)
+
+
+# -- batched paths against their loop versions ----------------------------------
+
+segments_st = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.25, 1.0, 2.0]) | times_st,
+        st.sampled_from([0.25, 0.5, 1.0]) | st.floats(min_value=1e-3, max_value=5.0),
+        st.sampled_from([0.0, 1.0]) | rate_st,
+    ).map(lambda t: (t[0], t[0] + t[1], t[2])),
+    max_size=8,
+)
+
+
+@given(segments_st)
+@settings(max_examples=300, deadline=None)
+def test_piecewise_rate_matches_loop_reference_bits(segs):
+    # overlapping and abutting segments; rates add in segment order
+    assert same_flow_bits(
+        CumulativeFlow.piecewise_rate(segs), loop_reference.piecewise_rate(segs)
+    )
+
+
+@given(flows_st(), bottlenecks_st)
+@settings(max_examples=200, deadline=None)
+def test_bottleneck_exit_profile_matches_loop_reference_bits(f, model):
+    got = model.exit_profile(f)
+    want = loop_reference.bottleneck_exit_profile(model, f)
+    assert same_bits(got.curve.xs, want.curve.xs)
+    assert same_bits(got.curve.ys, want.curve.ys)
+    assert same_flow_bits(got.outflow, want.outflow)
