@@ -135,6 +135,8 @@ class PiecewiseLinearMap:
             return float(xs[0] + (y - ys[0]) / self.lo_slope)
         above = np.nonzero(ys >= y)[0]
         if above.size == 0:
+            if self.hi_slope <= 0:
+                return np.inf
             return float(xs[-1] + (y - ys[-1]) / self.hi_slope)
         k = int(above[0])
         dy = ys[k] - ys[k - 1]

@@ -1,17 +1,26 @@
 """Network loading: propagate route inflows into per-arc flows and times.
 
-Given route inflow measures, the loader advances a frontier in steps of the
-network's smallest arc travel-time floor.  At each step every arc's outflow is
-recomputed from the inflows discovered so far and truncated at the frontier;
-because no arc can be traversed faster than that floor, everything behind the
-frontier is already settled.  The procedure stabilizes once all mass has left
-its route, and the final bundle satisfies the per-arc exit-flow equations at
-the solvers' exact piecewise-linear resolution.
+The routes order the arcs: an arc precedes the arc a route enters next.  When
+that precedence is acyclic, an arc's inflow is final once its upstream arcs
+are done, so the loader serves each arc once, in topological order.
+
+On cyclic precedence, or when a frontier step is given explicitly, the loader
+runs the construction of the existence proof instead: it advances a frontier
+in steps of the network's smallest arc travel-time floor.  At each step every
+arc's outflow is recomputed from the inflows discovered so far and truncated at
+the frontier; because no arc can be traversed faster than that floor,
+everything behind the frontier is already settled.  The procedure stabilizes
+once all mass has left its route.
+
+Both paths reach the same fixed point, bit for bit on acyclic networks: a
+bundle that satisfies the per-arc exit-flow equations at the solvers' exact
+piecewise-linear resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -72,6 +81,36 @@ class Network:
         return sorted(
             r for r in self.routes if self.od_of_route(r) == (origin, destination)
         )
+
+    @cached_property
+    def crossings(self) -> dict[str, dict[str, str | None]]:
+        """Per arc, the routes crossing it in route order, each mapped to the
+        arc it enters next (None where the route ends)."""
+        out: dict[str, dict[str, str | None]] = {aid: {} for aid in self.arcs}
+        for rid, arc_ids in self.routes.items():
+            for aid, nxt in zip(arc_ids, arc_ids[1:] + (None,)):
+                out[aid][rid] = nxt
+        return out
+
+    @cached_property
+    def loading_order(self) -> tuple[str, ...] | None:
+        """Every arc after the arcs that precede it on some route, or None when
+        the routes' arc precedence has a cycle."""
+        successors: dict[str, dict[str, None]] = {aid: {} for aid in self.arcs}
+        for arc_ids in self.routes.values():
+            for prev, nxt in zip(arc_ids[:-1], arc_ids[1:]):
+                successors[prev][nxt] = None
+        indegree = dict.fromkeys(self.arcs, 0)
+        for nexts in successors.values():
+            for nxt in nexts:
+                indegree[nxt] += 1
+        order = [aid for aid, n in indegree.items() if n == 0]
+        for aid in order:  # grows while it is read: Kahn's algorithm
+            for nxt in successors[aid]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    order.append(nxt)
+        return tuple(order) if len(order) == len(self.arcs) else None
 
     @property
     def t_min_star(self) -> float:
@@ -139,8 +178,9 @@ def _share_at(ms: np.ndarray, cs: np.ndarray, m: float) -> float:
 
 def flowing(
     model: ArcModel, inflows_by_route: Mapping[str, CumulativeFlow]
-) -> dict[str, CumulativeFlow]:
-    """Per-route outflows of one arc, given its per-route inflows.
+) -> tuple[dict[str, CumulativeFlow], ExitProfile]:
+    """Per-route outflows of one arc, given its per-route inflows, and the
+    arc's exit profile under their total.
 
     The total outflow is the image of the total inflow under the arc's exit
     behaviour; each route receives the share it holds among the entrants, in
@@ -148,17 +188,14 @@ def flowing(
     Mass is conserved per route.
     """
     live = {r: f for r, f in inflows_by_route.items() if not f.is_zero}
-    if not live:
-        return {r: CumulativeFlow.zero() for r in inflows_by_route}
     total = sum_flows(list(live.values()))
     profile = model.exit_profile(total)
     exit_total = profile.outflow
     out: dict[str, CumulativeFlow] = {}
-    if len(live) == 1:
-        (rid, _), = live.items()
+    if len(live) <= 1:
         for r in inflows_by_route:
-            out[r] = exit_total if r == rid else CumulativeFlow.zero()
-        return out
+            out[r] = exit_total if r in live else CumulativeFlow.zero()
+        return out, profile
     for r, f in inflows_by_route.items():
         if f.is_zero:
             out[r] = CumulativeFlow.zero()
@@ -184,7 +221,7 @@ def flowing(
             else:
                 hi_v[-1] = max(hi_v[-1], vr)
         out[r] = _from_vertices(times, lo_v, hi_v)
-    return out
+    return out, profile
 
 
 def _mass_preimage(flow: CumulativeFlow, m: float) -> float:
@@ -227,36 +264,60 @@ def load(
 ) -> ArcFlowBundle:
     """Propagate route inflows through the network until all mass has exited.
 
-    Each pass recomputes, for every route position, the upstream arc's
-    outflow from the previous pass's bundle and truncates it at the advancing
-    frontier.  Once the frontier clears every exit, consecutive bundles are
-    identical and the fixed point has been reached.
+    Without a frontier step, on a network whose arc precedence is acyclic
+    (``Network.loading_order``), each arc is served once, in that order, and
+    hands each route's outflow to the route's next arc.
+
+    Otherwise, each pass recomputes, for every route position, the upstream
+    arc's outflow from the previous pass's bundle and truncates it at a
+    frontier that advances by ``frontier_step`` (default: the network's
+    smallest travel-time floor).  Once the frontier clears every exit,
+    consecutive bundles are identical and the fixed point has been reached.
 
     Raises:
         NonTermination: the frontier exceeded the passage-time budget, which
             indicates an arc model without a finite passage envelope.
     """
+    x = {r: route_flows.get(r, CumulativeFlow.zero()) for r in network.routes}
+    order = network.loading_order
+    if frontier_step is None and order is not None:
+        return _load_in_order(network, x, order)
+    return _load_by_frontier(network, x, frontier_step)
+
+
+def _load_in_order(
+    network: Network, x: RouteFlowPattern, order: tuple[str, ...]
+) -> ArcFlowBundle:
+    """One ``flowing`` call per arc, upstream arcs first."""
+    crossings = network.crossings
+    inflows = {aid: dict.fromkeys(routes) for aid, routes in crossings.items()}
+    for rid, arc_ids in network.routes.items():
+        inflows[arc_ids[0]][rid] = x[rid]
+    totals = dict.fromkeys(network.arcs)
+    profiles = dict.fromkeys(network.arcs)
+    for aid in order:
+        outflows, profiles[aid] = flowing(network.arcs[aid].model, inflows[aid])
+        totals[aid] = sum_flows(list(inflows[aid].values()))
+        for rid, nxt in crossings[aid].items():
+            if nxt is not None:
+                inflows[nxt][rid] = outflows[rid]
+    return ArcFlowBundle(inflows, totals, profiles)
+
+
+def _load_by_frontier(
+    network: Network, x: RouteFlowPattern, frontier_step: float | None
+) -> ArcFlowBundle:
+    """The t_min* frontier construction; see ``load``."""
     step = network.t_min_star if frontier_step is None else float(frontier_step)
     if step <= 0:
         raise ValueError("frontier step must be positive")
-    x = {r: route_flows.get(r, CumulativeFlow.zero()) for r in network.routes}
-    if all(len(arc_ids) == 1 for arc_ids in network.routes.values()):
-        # no propagation needed: each arc's inflow is already settled
-        inflows = {aid: {} for aid in network.arcs}
-        for rid, (aid,) in network.routes.items():
-            inflows[aid][rid] = x[rid]
-        totals = {aid: sum_flows(list(d.values())) for aid, d in inflows.items()}
-        profiles = {
-            aid: network.arcs[aid].model.exit_profile(totals[aid]) for aid in network.arcs
-        }
-        return ArcFlowBundle(inflows, totals, profiles)
     total_mass = sum(f.total for f in x.values())
     horizon_end = max((f.times[-1] for f in x.values() if not f.is_zero), default=0.0)
     budget = horizon_end + network.passage_bound(total_mass) + 1.0 + step
 
     empty = {
-        aid: {r: CumulativeFlow.zero() for r in network.routes if aid in network.routes[r]}
-        for aid in network.arcs
+        aid: dict.fromkeys(routes, CumulativeFlow.zero())
+        for aid, routes in network.crossings.items()
     }
     tiny = 1e-12 * (1.0 + total_mass)
     bundle = {aid: dict(d) for aid, d in empty.items()}
@@ -269,7 +330,7 @@ def load(
             new_bundle[arc_ids[0]][rid] = x[rid].restrict(frontier)
             for prev, nxt in zip(arc_ids[:-1], arc_ids[1:]):
                 if prev not in outflow_cache:
-                    outflow_cache[prev] = flowing(
+                    outflow_cache[prev], _ = flowing(
                         network.arcs[prev].model, bundle[prev]
                     )
                 new_bundle[nxt][rid] = outflow_cache[prev][rid].restrict(frontier)

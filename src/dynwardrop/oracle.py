@@ -101,54 +101,31 @@ def oracle_load(network: Network, route_flows: RouteFlowPattern, grid: GridConfi
     t_end = h_end + network.passage_bound(total_mass) + 1.0
     ts = np.arange(0.0, t_end + grid.step, grid.step)
 
-    inflows: dict[str, dict[str, np.ndarray]] = {
-        aid: {} for aid in network.arcs
-    }
+    order = network.loading_order
+    if order is None:
+        raise InstanceTooLarge(
+            "grid loader needs acyclically shared arcs; the routes' arc precedence has a cycle"
+        )
+    inflows: dict[str, dict[str, np.ndarray]] = {aid: {} for aid in network.arcs}
     outflows: dict[str, dict[str, np.ndarray]] = {aid: {} for aid in network.arcs}
     for rid, arc_ids in network.routes.items():
         cum = np.array([x[rid].value(float(t)) for t in ts])
         inflows[arc_ids[0]][rid] = cum
-    # order arcs so upstream contributions are complete before an arc is served
-    remaining = {
-        rid: list(arc_ids) for rid, arc_ids in network.routes.items()
-    }
     totals: dict[str, np.ndarray] = {}
-    progressed = True
-    while any(remaining.values()) and progressed:
-        progressed = False
-        ready = {}
-        for rid, arc_ids in remaining.items():
-            if arc_ids and rid in inflows[arc_ids[0]]:
-                ready.setdefault(arc_ids[0], []).append(rid)
-        for aid, rids in ready.items():
-            # an arc is serveable once every route crossing it has delivered
-            crossing = [r for r, seq in network.routes.items() if aid in seq]
-            if not all(r in inflows[aid] for r in crossing):
-                continue
-            progressed = True
-            a_cum = np.sum([inflows[aid][r] for r in crossing], axis=0)
-            totals[aid] = a_cum
-            exits = _arc_exit_samples(network.arcs[aid].model, ts, a_cum)
-            for r in crossing:
-                out = _propagate(ts, inflows[aid][r], exits)
-                outflows[aid][r] = out
-                seq = remaining[r]
-                pos = seq.index(aid)
-                if pos + 1 < len(seq):
-                    inflows[seq[pos + 1]][r] = out
-                remaining[r] = seq[pos + 1:]
-    stuck = [rid for rid, seq in remaining.items() if seq]
-    if stuck:
-        raise InstanceTooLarge(
-            f"grid loader needs acyclically shared arcs; stuck on routes {stuck}"
-        )
-    for aid in network.arcs:
-        if aid not in totals:
+    # upstream contributions are complete before an arc is served
+    for aid in order:
+        crossing = network.crossings[aid]
+        if not crossing:
             totals[aid] = np.zeros_like(ts)
-            crossing = [r for r, seq in network.routes.items() if aid in seq]
-            for r in crossing:
-                inflows[aid].setdefault(r, np.zeros_like(ts))
-                outflows[aid].setdefault(r, np.zeros_like(ts))
+            continue
+        a_cum = np.sum([inflows[aid][r] for r in crossing], axis=0)
+        totals[aid] = a_cum
+        exits = _arc_exit_samples(network.arcs[aid].model, ts, a_cum)
+        for r, nxt in crossing.items():
+            out = _propagate(ts, inflows[aid][r], exits)
+            outflows[aid][r] = out
+            if nxt is not None:
+                inflows[nxt][r] = out
     return GridBundle(ts, inflows, totals, outflows)
 
 

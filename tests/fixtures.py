@@ -4,6 +4,11 @@ Ten small instances (at most 6 arcs, 4 routes) covering every arc model,
 shared arcs, chains, and point masses.  Point masses never reach a
 volume-delay arc directly: that combination is outside the model family's
 admissible inputs (the released mass would overtake).
+
+Two more families stress the loader's two paths: short ladders, where four
+routes share parallel bottleneck and volume-delay arcs stage after stage
+(acyclic precedence), and a rotary, whose routes order its three arcs in a
+cycle.
 """
 
 from __future__ import annotations
@@ -180,3 +185,57 @@ def acceptance_fixtures() -> list[Fixture]:
     ))
 
     return out
+
+
+# (start, end, rate) pulses; ladder route k carries pattern k
+_LADDER_PULSES = (
+    ((0.0, 0.6, 1.4), (1.0, 1.5, 0.8)),
+    ((0.2, 0.8, 1.0), (1.2, 1.8, 0.6)),
+    ((0.1, 0.5, 0.9), (0.9, 1.4, 1.3)),
+    ((0.3, 0.7, 0.8), (1.1, 1.6, 1.1)),
+)
+
+
+def ladder_fixture(stages: int) -> Fixture:
+    """Per stage a bottleneck arc and a volume-delay arc in parallel.
+
+    Four routes cross every stage: all-bottleneck, all-volume-delay and the
+    two alternating patterns, so each arc is shared by two routes.
+    """
+    arc_map = {}
+    for k in range(stages):
+        arc_map[f"b{k}"] = Arc(f"N{k}", f"N{k + 1}", BottleneckModel(0.5, 1.0))
+        arc_map[f"v{k}"] = Arc(
+            f"N{k}", f"N{k + 1}", ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
+        )
+    patterns = {
+        "rB": "b" * stages,
+        "rV": "v" * stages,
+        "rBV": ("bv" * stages)[:stages],
+        "rVB": ("vb" * stages)[:stages],
+    }
+    routes = {r: tuple(f"{c}{k}" for k, c in enumerate(p)) for r, p in patterns.items()}
+    flows = {
+        r: CumulativeFlow.piecewise_rate(pulses)
+        for r, pulses in zip(routes, _LADDER_PULSES)
+    }
+    return Fixture(f"ladder_{stages}", Network(arc_map, routes), flows, Horizon(4.0))
+
+
+def rotary_fixture() -> Fixture:
+    """Three arcs X -> Y -> Z -> X; each route crosses two consecutive arcs, so
+    the routes' arc precedence a -> b -> c -> a is a cycle."""
+    network = Network(
+        {
+            "a": Arc("X", "Y", BottleneckModel(0.5, 1.0)),
+            "b": Arc("Y", "Z", ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))),
+            "c": Arc("Z", "X", BottleneckModel(0.4, 0.8)),
+        },
+        {"rab": ("a", "b"), "rbc": ("b", "c"), "rca": ("c", "a")},
+    )
+    flows = {
+        "rab": CumulativeFlow.constant_rate(0.0, 1.0, 1.5),
+        "rbc": CumulativeFlow.piecewise_rate([(0.2, 0.8, 1.0), (1.2, 1.6, 0.7)]),
+        "rca": CumulativeFlow.constant_rate(0.5, 1.5, 1.2),
+    }
+    return Fixture("rotary", network, flows, Horizon(4.0))

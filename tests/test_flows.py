@@ -1,10 +1,12 @@
 """Flow-measure algebra: evaluation, restriction, summation, pushforward."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynwardrop.curves import ExitTimeCurve
+from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.errors import FifoViolation
 from dynwardrop.flows import CumulativeFlow, sum_flows, pushforward
 
@@ -73,6 +75,17 @@ def test_batched_flow_evaluation_matches_scalar_bits(f, extra):
 def test_batched_map_evaluation_matches_scalar_bits(m, extra):
     # repeated abscissae, boundary slopes, points on both extensions
     _assert_batched_map_bits(m, probe_points(m.xs, extra))
+
+
+@given(maps_st(), st.floats(min_value=1e-9, max_value=10.0))
+@example(PiecewiseLinearMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0, 0.0), 1.0)
+@settings(max_examples=100, deadline=None)
+def test_preimage_inf_above_flat_right_extension_is_inf(m, rise):
+    # a level the map never reaches: no division by the zero slope
+    flat = PiecewiseLinearMap(m.xs, m.ys, m.lo_slope, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert flat.preimage_inf(float(flat.ys.max()) + rise) == np.inf
 
 
 @given(flows_st(), bottlenecks_st, probe_st)

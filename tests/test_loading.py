@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dynwardrop import network as network_module
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
-from dynwardrop.errors import ValidationError
+from dynwardrop.errors import InstanceTooLarge, ValidationError
 from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import (
     Arc,
@@ -14,8 +15,10 @@ from dynwardrop.network import (
     route_time_by_recursion,
     route_times,
 )
+from dynwardrop.oracle import GridConfig, oracle_load
 
-from helpers import curve_linf
+from fixtures import acceptance_fixtures, ladder_fixture, rotary_fixture
+from helpers import curve_linf, same_bits, same_flow_bits
 
 
 def two_constant_chain() -> Network:
@@ -63,18 +66,18 @@ def test_route_repeating_arc_rejected():
 # -- flowing --------------------------------------------------------------------
 
 def test_flowing_single_route_constant_shifts_atom():
-    out = flowing(ConstantModel(1.0), {"r": CumulativeFlow.atom_at(0.0, 1.0)})
+    out, _ = flowing(ConstantModel(1.0), {"r": CumulativeFlow.atom_at(0.0, 1.0)})
     assert out["r"].atom_mass(1.0) == 1.0
 
 
 def test_flowing_zero_in_zero_out():
-    out = flowing(ConstantModel(1.0), {"r": CumulativeFlow.zero()})
+    out, _ = flowing(ConstantModel(1.0), {"r": CumulativeFlow.zero()})
     assert out["r"].is_zero
 
 
 def test_flowing_two_atoms_share_bottleneck_release():
     model = BottleneckModel(1.0, 1.0)
-    out = flowing(
+    out, _ = flowing(
         model,
         {
             "r1": CumulativeFlow.atom_at(0.0, 1.0),
@@ -95,7 +98,7 @@ def test_flowing_conserves_mass_per_route():
         "r1": CumulativeFlow.constant_rate(0.0, 1.0, 1.0),
         "r2": CumulativeFlow.constant_rate(0.5, 2.0, 0.6),
     }
-    out = flowing(model, inflows)
+    out, _ = flowing(model, inflows)
     for r, f in inflows.items():
         assert out[r].total == pytest.approx(f.total, rel=1e-12)
 
@@ -126,7 +129,7 @@ def test_shared_bottleneck_splits_proportionally():
     shared_in = bundle.total("out")
     # arrives shifted by the 0.5 feeder, combined rate 2 on [0.5, 1.5]
     assert shared_in.mass_between(0.5, 1.5) == pytest.approx(2.0, rel=1e-12)
-    out_r1 = flowing(net.arcs["out"].model, bundle.inflows["out"])["r1"]
+    out_r1 = flowing(net.arcs["out"].model, bundle.inflows["out"])[0]["r1"]
     # release at capacity 1 over [1.5, 3.5], half per route
     assert out_r1.mass_between(1.5, 3.5) == pytest.approx(1.0, rel=1e-9)
     assert out_r1.mass_between(1.5, 2.5) == pytest.approx(0.5, abs=1e-9)
@@ -147,7 +150,7 @@ def test_global_conservation_on_mixed_network():
         "r2": CumulativeFlow.piecewise_rate([(0.0, 1.0, 0.5), (1.0, 3.0, 1.5)]),
     }
     bundle = load(net, x)
-    out = flowing(net.arcs["d"].model, bundle.inflows["d"])
+    out, _ = flowing(net.arcs["d"].model, bundle.inflows["d"])
     for rid, f in x.items():
         assert out[rid].total == pytest.approx(f.total, rel=1e-9)
         # mass conserved along every arc of the route
@@ -193,6 +196,64 @@ def test_prefix_causality_of_loading():
             grid = np.linspace(0.0, h + tstar, 23)
             worst = max(abs(a.value(float(t)) - b.value(float(t))) for t in grid)
             assert worst <= 1e-9
+
+
+def _counting_flowing(monkeypatch) -> list:
+    """Count the ``flowing`` calls that ``load`` makes."""
+    calls = []
+
+    def counted(model, inflows_by_route):
+        calls.append(model)
+        return flowing(model, inflows_by_route)
+
+    monkeypatch.setattr(network_module, "flowing", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fx",
+    acceptance_fixtures() + [ladder_fixture(2), ladder_fixture(3)],
+    ids=lambda fx: fx.name,
+)
+def test_topological_and_frontier_loaders_agree_bit_for_bit(fx, monkeypatch):
+    net = fx.network
+    assert net.loading_order is not None
+    calls = _counting_flowing(monkeypatch)
+    ordered = load(net, fx.flows)
+    assert len(calls) == len(net.arcs)  # one pass: each arc served once
+
+    def one_pass(*args):
+        raise AssertionError("an explicit frontier step must run the frontier loop")
+
+    monkeypatch.setattr(network_module, "_load_in_order", one_pass)
+    stepped = load(net, fx.flows, frontier_step=net.t_min_star)
+    for aid in net.arcs:
+        assert list(ordered.inflows[aid]) == list(stepped.inflows[aid])
+        for rid in ordered.inflows[aid]:
+            assert same_flow_bits(ordered.inflow(aid, rid), stepped.inflow(aid, rid))
+        assert same_flow_bits(ordered.total(aid), stepped.total(aid))
+        assert same_flow_bits(ordered.outflow_total(aid), stepped.outflow_total(aid))
+        a, b = ordered.profiles[aid].curve, stepped.profiles[aid].curve
+        assert same_bits(a.xs, b.xs) and same_bits(a.ys, b.ys)
+
+
+def test_cyclic_precedence_loads_by_frontier(monkeypatch):
+    fx = rotary_fixture()
+    net = fx.network
+    assert net.loading_order is None
+    calls = _counting_flowing(monkeypatch)
+    bundle = load(net, fx.flows)
+    assert len(calls) > len(net.arcs)  # the frontier loop's repeated passes
+    for rid, arc_ids in net.routes.items():
+        mass = fx.flows[rid].total
+        for aid in arc_ids:
+            assert abs(bundle.inflow(aid, rid).total - mass) <= 1e-12 * mass
+    fine = load(net, fx.flows, frontier_step=net.t_min_star / 2)
+    for aid in net.arcs:
+        for rid in bundle.inflows[aid]:
+            assert curve_linf(bundle.inflow(aid, rid), fine.inflow(aid, rid)) < 1e-9
+    with pytest.raises(InstanceTooLarge):
+        oracle_load(net, fx.flows, GridConfig(net.t_min_star / 8))
 
 
 # -- route times ------------------------------------------------------------------
