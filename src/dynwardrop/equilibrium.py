@@ -5,11 +5,14 @@ instant, no used route of an origin-destination pair is slower than an unused
 alternative.  Departure choice generalizes this to scheduling utilities with
 earliness/lateness penalties around a preferred arrival time.
 
-Both solvers discretize departures into uniform bins, iterate an
-all-or-nothing best response, and average with a vanishing (or fixed) step.
-No convergence guarantee is claimed; the certificate is the reported gap:
-the mass-weighted excess travel time (or utility regret) relative to the best
-available alternative, normalized to [0, 1].
+Both solvers discretize departures into uniform bins and average a response
+into the current choice with a shrinking step.  Route choice averages the
+all-or-nothing best response with step 1/(n+1).  Departure choice averages a
+logit response of annealed temperature (all-or-nothing for classes with a
+fixed departure profile) with an annealed step.  No convergence guarantee is
+claimed; the certificate is the reported gap: the mass-weighted excess travel
+time (or utility regret) relative to the best available alternative,
+normalized to [0, 1].
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ from .flows import CumulativeFlow, Horizon, sum_flows
 from .network import Network, RouteFlowPattern, TravelTimePattern, load, route_times
 
 OD = tuple[str, str]
+
+#: Options whose cost (or utility) is within this of the best tie; the best
+#: response takes the lowest route id among them.
+TIE_TOLERANCE = 1e-12
+#: Logit temperature of the departure-choice response at the first iteration,
+#: and the floor it anneals toward.
+LOGIT_START = 0.5
+LOGIT_FLOOR = 0.025
 
 
 @dataclass(frozen=True)
@@ -86,8 +97,8 @@ class SolverConfig:
     """Knobs of the averaged best-response iteration.
 
     Route choice reassigns each (od, bin) all-or-nothing and averages with the
-    chosen step rule.  Departure choice smooths the reassignment through a
-    logit response whose temperature anneals toward ``logit_floor`` (the
+    vanishing step 1/(n+1).  Departure choice smooths the reassignment through
+    a logit response whose temperature anneals toward ``LOGIT_FLOOR`` (the
     zero-temperature limit is the all-or-nothing response): whole-mass dumps
     into single departure bins otherwise leave queue holes that keep the
     regret certificate stuck well above its target at practical iteration
@@ -97,19 +108,10 @@ class SolverConfig:
     bin_width: float
     max_iters: int = 200
     tolerance: float = 1e-3
-    step_rule: str = "msa"  # or "fixed"
-    fixed_step: float = 0.25
-    tie_tolerance: float = 1e-12
-    logit_start: float = 0.5
-    logit_floor: float = 0.025
 
     def __post_init__(self):
         if self.bin_width <= 0 or self.tolerance <= 0:
             raise ValidationError("bin width and tolerance must be positive")
-        if self.step_rule not in ("msa", "fixed"):
-            raise ValidationError(f"unknown step rule {self.step_rule!r}")
-        if self.logit_floor <= 0 or self.logit_start < self.logit_floor:
-            raise ValidationError("logit temperatures out of range")
 
     def bins_for(self, horizon: Horizon) -> int:
         n = horizon.end / self.bin_width
@@ -312,7 +314,7 @@ def solve_wardrop(
             )
         if gap <= config.tolerance:
             break
-        step = 1.0 / (it + 1) if config.step_rule == "msa" else config.fixed_step
+        step = 1.0 / (it + 1)
         for od in ods:
             rset = network.routes_between(*od)
             if len(rset) <= 1:
@@ -322,7 +324,7 @@ def solve_wardrop(
                 lo, hi = float(edges[b]), float(edges[b + 1])
                 costs = np.array([times.mean_travel_time(r, lo, hi) for r in rset])
                 # deterministic tie break toward the lowest route id
-                k = int(np.flatnonzero(costs <= costs.min() + config.tie_tolerance)[0])
+                k = int(np.flatnonzero(costs <= costs.min() + TIE_TOLERANCE)[0])
                 target[k, b] = 1.0
             shares[od] = (1.0 - step) * shares[od] + step * target
     assert best is not None
@@ -449,7 +451,7 @@ def solve_departure_choice(
         bundle = load(network, flows)
         times = route_times(network, bundle, horizon)
 
-        temperature = max(config.logit_floor, config.logit_start * 0.985**it)
+        temperature = max(LOGIT_FLOOR, LOGIT_START * 0.985**it)
         regret_mass = 0.0
         norm = 0.0
         targets = []
@@ -469,7 +471,7 @@ def solve_departure_choice(
                 best_w = 0.0
                 ach_w = 0.0
                 for b in range(bins):
-                    k = int(np.flatnonzero(u[:, b] >= u[:, b].max() - config.tie_tolerance)[0])
+                    k = int(np.flatnonzero(u[:, b] >= u[:, b].max() - TIE_TOLERANCE)[0])
                     target[k, b] = 1.0
                     w = bm[b] / cls.mass if cls.mass > 0 else 0.0
                     best_w += w * u[k, b]
@@ -491,12 +493,9 @@ def solve_departure_choice(
             )
         if gap <= config.tolerance:
             break
-        if config.step_rule == "fixed":
-            step = config.fixed_step
-        else:
-            # annealed averaging: vanishing 1/n steps freeze transients in
-            # before the joint simplex has taken the equilibrium shape
-            step = max(0.03, 0.3 * 0.99**it)
+        # annealed averaging: vanishing 1/n steps freeze transients in
+        # before the joint simplex has taken the equilibrium shape
+        step = max(0.03, 0.3 * 0.99**it)
         for i in range(len(splits)):
             splits[i] = (1.0 - step) * splits[i] + step * targets[i]
     assert best is not None

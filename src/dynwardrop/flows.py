@@ -130,13 +130,40 @@ class CumulativeFlow:
             raise ValueError("times and values must have equal length")
         if t.size == 0 or v[-1] == 0:
             return CumulativeFlow.zero()
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
         if np.any(np.diff(v) < 0):
             raise ValueError("cumulative values must be nondecreasing")
         v = v - v[0]
-        slopes = np.append(np.diff(v) / np.diff(t), 0.0)
-        return _build(t, v, np.zeros_like(t), slopes)
+        return CumulativeFlow.from_vertices(t, v, v)
+
+    @staticmethod
+    def from_vertices(
+        times: Sequence[float], lefts: Sequence[float], values: Sequence[float]
+    ) -> "CumulativeFlow":
+        """The flow whose curve passes through computed vertices.
+
+        Vertex i sits at ``times[i]``, which must increase strictly; the curve
+        comes in at ``lefts[i]`` and leaves at ``values[i]``.  The rule:
+
+        - the atom at a vertex is its value minus its left limit;
+        - the density up to the next vertex is the rise from this value to
+          that vertex's left limit, divided by the gap in time, and a
+          negative rise counts as 0;
+        - values are lifted to their running maximum, and a negative atom
+          counts as 0.
+
+        The lifting absorbs rounding dips in computed vertices, so it would
+        also hide a real decrease: callers reading outside data reject
+        decreasing values first.
+        """
+        t = np.asarray(times, dtype=float)
+        lo = np.asarray(lefts, dtype=float)
+        hi = np.asarray(values, dtype=float)
+        dt = np.diff(t)
+        if np.any(dt <= 0):
+            raise ValueError("breakpoint times must be strictly increasing")
+        slopes = np.zeros_like(t)
+        slopes[:-1] = np.maximum(lo[1:] - hi[:-1], 0.0) / dt
+        return _build(t, np.maximum.accumulate(hi), np.maximum(hi - lo, 0.0), slopes)
 
     # -- basic queries -----------------------------------------------------
 
@@ -464,12 +491,4 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
             g_hi.append(m)
         else:
             g_hi[-1] = m
-    times_a = np.array(g_time)
-    cums_a = np.array(g_hi)
-    atoms_a = np.array(g_hi) - np.array(g_lo)
-    slopes_a = np.zeros_like(times_a)
-    if times_a.size > 1:
-        dt = np.diff(times_a)
-        dm = np.maximum(np.array(g_lo[1:]) - np.array(g_hi[:-1]), 0.0)
-        slopes_a[:-1] = dm / dt
-    return _build(times_a, cums_a, atoms_a, slopes_a)
+    return CumulativeFlow.from_vertices(g_time, g_lo, g_hi)

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .arcs import ArcModel, ExitProfile
-from .curves import ExitTimeCurve
+from .curves import ExitTimeCurve, PiecewiseLinearMap
 from .errors import NonTermination, ValidationError
 from .flows import CumulativeFlow, Horizon, sum_flows
 
@@ -64,14 +64,6 @@ class Network:
                     raise ValidationError(
                         f"route {rid!r} is not connected at {prev!r} -> {nxt!r}"
                     )
-
-    @property
-    def nodes(self) -> set[str]:
-        out = set()
-        for arc in self.arcs.values():
-            out.add(arc.tail)
-            out.add(arc.head)
-        return out
 
     def od_of_route(self, route_id: str) -> tuple[str, str]:
         arc_ids = self.routes[route_id]
@@ -164,18 +156,6 @@ def _route_share(route_flow: CumulativeFlow, total_flow: CumulativeFlow) -> tupl
     return np.array(ms), np.array(cs)
 
 
-def _share_at(ms: np.ndarray, cs: np.ndarray, m: float) -> float:
-    i = int(np.searchsorted(ms, m, side="right")) - 1
-    if i < 0:
-        return 0.0
-    if i >= ms.size - 1:
-        return float(cs[-1])
-    dm = ms[i + 1] - ms[i]
-    if dm == 0.0:
-        return float(cs[i])
-    return float(cs[i] + (m - ms[i]) * (cs[i + 1] - cs[i]) / dm)
-
-
 def flowing(
     model: ArcModel, inflows_by_route: Mapping[str, CumulativeFlow]
 ) -> tuple[dict[str, CumulativeFlow], ExitProfile]:
@@ -208,19 +188,13 @@ def flowing(
             # invert the exit cumulative at mass level m
             taus.add(_mass_preimage(exit_total, float(m)))
         taus_a = np.array(sorted(t for t in taus if np.isfinite(t)))
-        times: list[float] = []
-        lo_v: list[float] = []
-        hi_v: list[float] = []
-        for tau in taus_a:
-            vl = _share_at(ms, cs, exit_total.left_value(tau))
-            vr = _share_at(ms, cs, exit_total.value(tau))
-            if not times or tau > times[-1]:
-                times.append(float(tau))
-                lo_v.append(vl)
-                hi_v.append(vr)
-            else:
-                hi_v[-1] = max(hi_v[-1], vr)
-        out[r] = _from_vertices(times, lo_v, hi_v)
+        # route mass as a function of total mass, flat beyond both ends
+        share = PiecewiseLinearMap(ms, cs, 0.0, 0.0)
+        out[r] = CumulativeFlow.from_vertices(
+            taus_a,
+            share.values(exit_total.left_values(taus_a)),
+            share.values(exit_total.values(taus_a)),
+        )
     return out, profile
 
 
@@ -241,20 +215,6 @@ def _mass_preimage(flow: CumulativeFlow, m: float) -> float:
     if c_hi - flow.atoms[i] <= m or flow.slopes[i - 1] == 0.0:
         return t_hi
     return t_lo + (m - c_lo) / flow.slopes[i - 1]
-
-
-def _from_vertices(times: list[float], lo_v: list[float], hi_v: list[float]) -> CumulativeFlow:
-    from .flows import _build
-
-    t = np.array(times)
-    cums = np.array(hi_v)
-    atoms = cums - np.array(lo_v)
-    slopes = np.zeros_like(t)
-    if t.size > 1:
-        dt = np.diff(t)
-        dm = np.maximum(np.array(lo_v[1:]) - np.array(hi_v[:-1]), 0.0)
-        slopes[:-1] = dm / dt
-    return _build(t, np.maximum.accumulate(cums), np.maximum(atoms, 0.0), slopes)
 
 
 def load(

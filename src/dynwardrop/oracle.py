@@ -49,11 +49,6 @@ class GridBundle:
     totals: dict[str, np.ndarray]
     outflows: dict[str, dict[str, np.ndarray]]
 
-    def inflow_curve(self, arc_id: str, route_id: str) -> CumulativeFlow:
-        return CumulativeFlow.from_cumulative_points(
-            self.grid, self.inflows[arc_id][route_id]
-        )
-
 
 def _arc_exit_samples(model, grid: np.ndarray, a_cum: np.ndarray) -> np.ndarray:
     """Exit times per grid point under forward stepping; nondecreasing."""
@@ -154,11 +149,9 @@ def oracle_equilibrium(
     grid: GridConfig,
     iterations: int,
     bins: int = 64,
-    damping: float | None = None,
 ) -> tuple[RouteFlowPattern, float]:
-    """Damped best response on uniform departure bins, timed by the grid loader.
-
-    ``damping=None`` uses the vanishing step 1/(iteration+1); a float fixes it.
+    """Damped best response on uniform departure bins, timed by the grid loader,
+    with the vanishing step 1/(iteration+1).
 
     Returns the flow pattern and its equilibrium gap as measured by the exact
     machinery (the pattern itself is derived with grid arithmetic only).
@@ -220,7 +213,7 @@ def oracle_equilibrium(
                 times[k] = np.interp(mids, gridded.grid, tt)
             tied = times <= times.min(axis=0) + 1e-12 * (1.0 + np.abs(times.min(axis=0)))
             target = tied / tied.sum(axis=0)
-            step = 1.0 / (it + 2) if damping is None else damping
+            step = 1.0 / (it + 2)
             share[od] = (1 - step) * share[od] + step * target
     pattern = flows_from_shares()
     bundle = load(network, pattern)

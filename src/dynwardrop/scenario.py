@@ -398,7 +398,11 @@ def read_route_times_csv(path: Path) -> dict[str, ExitTimeCurve]:
 
 
 def read_route_flows_csv(path: Path) -> RouteFlowPattern:
-    """Rebuild route flow measures from an emitted cumulative table."""
+    """Rebuild route flow measures from an emitted cumulative table.
+
+    Raises:
+        ValidationError: a route's cumulative column decreases.
+    """
     rows: dict[str, list[tuple[float, float]]] = {}
     with path.open() as fh:
         for row in csv.DictReader(fh):
@@ -407,6 +411,8 @@ def read_route_flows_csv(path: Path) -> RouteFlowPattern:
             )
     out: RouteFlowPattern = {}
     for rid, pts in rows.items():
+        if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
+            raise ValidationError(f"cumulative column of route {rid!r} decreases")
         if len(pts) < 2 or pts[-1][1] == 0.0:
             out[rid] = CumulativeFlow.zero()
             continue
@@ -420,13 +426,5 @@ def read_route_flows_csv(path: Path) -> RouteFlowPattern:
                 times.append(t)
                 lo.append(v)
                 hi.append(v)
-        from .flows import _build
-
-        t_a = np.array(times)
-        cums = np.array(hi)
-        atoms = cums - np.array(lo)
-        slopes = np.zeros_like(t_a)
-        if t_a.size > 1:
-            slopes[:-1] = np.maximum(np.array(lo[1:]) - np.array(hi[:-1]), 0.0) / np.diff(t_a)
-        out[rid] = _build(t_a, cums, atoms, slopes)
+        out[rid] = CumulativeFlow.from_vertices(times, lo, hi)
     return out

@@ -8,12 +8,15 @@ admissible inputs (the released mass would overtake).
 Two more families stress the loader's two paths: short ladders, where four
 routes share parallel bottleneck and volume-delay arcs stage after stage
 (acyclic precedence), and a rotary, whose routes order its three arcs in a
-cycle.
+cycle.  Jittered ladders perturb every parameter in the last digits, where
+computed curve vertices meet rounding noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
 from dynwardrop.flows import CumulativeFlow, Horizon, sum_flows
@@ -220,6 +223,52 @@ def ladder_fixture(stages: int) -> Fixture:
         for r, pulses in zip(routes, _LADDER_PULSES)
     }
     return Fixture(f"ladder_{stages}", Network(arc_map, routes), flows, Horizon(4.0))
+
+
+# three (start, end, rate) pulses per pattern, as the benchmark's ladders carry
+_JITTER_PULSES = (
+    ((0.0, 0.6, 1.4), (1.0, 1.5, 0.8), (2.0, 2.4, 1.2)),
+    ((0.2, 0.7, 1.0), (1.1, 1.8, 0.6), (2.2, 2.6, 1.1)),
+    ((0.1, 0.5, 0.9), (0.9, 1.3, 1.3), (1.9, 2.5, 0.7)),
+    ((0.3, 0.8, 0.8), (1.2, 1.6, 1.0), (2.1, 2.8, 0.9)),
+)
+
+
+def jittered_ladder_fixture(seed: int, m: int, stages: int = 5) -> Fixture:
+    """A ladder with irregular parameters, each times its own factor
+    1 + U(-1e-6, 1e-6) drawn from ``default_rng([seed, m])`` in build order.
+
+    Route k carries pulse pattern (m + k) mod 4.  Seed 9, m = 3 leaves a
+    computed exit-curve vertex one rounding error below its predecessor.
+    """
+    rng = np.random.default_rng([seed, m])
+
+    def f(x: float) -> float:
+        return x * (1.0 + rng.uniform(-1e-6, 1e-6))
+
+    arc_map = {}
+    for k in range(stages):
+        arc_map[f"b{k}"] = Arc(f"N{k}", f"N{k + 1}", BottleneckModel(f(0.53), f(1.07)))
+        arc_map[f"v{k}"] = Arc(
+            f"N{k}", f"N{k + 1}",
+            ArcPerformanceModel((0.0, 1.0, 3.0), (f(0.61), f(1.03), f(2.07))),
+        )
+    patterns = {
+        "rB": "b" * stages,
+        "rV": "v" * stages,
+        "rBV": ("bv" * stages)[:stages],
+        "rVB": ("vb" * stages)[:stages],
+    }
+    routes = {r: tuple(f"{c}{k}" for k, c in enumerate(p)) for r, p in patterns.items()}
+    flows = {
+        r: CumulativeFlow.piecewise_rate(
+            [(f(a), f(b), f(q)) for a, b, q in _JITTER_PULSES[(m + k) % 4]]
+        )
+        for k, r in enumerate(routes)
+    }
+    return Fixture(
+        f"jittered_ladder_{seed}_{m}", Network(arc_map, routes), flows, Horizon(4.0)
+    )
 
 
 def rotary_fixture() -> Fixture:

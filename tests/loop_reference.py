@@ -7,15 +7,15 @@ accumulation.  The tests assert that the batched paths return the same bits.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dynwardrop.arcs import ExitProfile, _point_queue_exits
+from dynwardrop.arcs import ArcModel, ExitProfile, _point_queue_exits
 from dynwardrop.curves import ExitTimeCurve
 from dynwardrop.equilibrium import UserClass
-from dynwardrop.flows import CumulativeFlow, _build
-from dynwardrop.network import TravelTimePattern
+from dynwardrop.flows import CumulativeFlow, _build, sum_flows
+from dynwardrop.network import TravelTimePattern, _mass_preimage, _route_share
 
 
 def piecewise_rate(segments: Iterable[tuple[float, float, float]]) -> CumulativeFlow:
@@ -105,3 +105,68 @@ def _utility_at(cls: UserClass, arrival_curve, h: float, left: bool = False) -> 
     early = max(0.0, cls.h_star - a)
     late = max(0.0, a - cls.h_star)
     return -cls.alpha * travel - cls.beta * early - cls.gamma * late
+
+
+def flowing(
+    model: ArcModel, inflows_by_route: Mapping[str, CumulativeFlow]
+) -> tuple[dict[str, CumulativeFlow], ExitProfile]:
+    """``network.flowing`` splitting the outflow one exit instant at a time."""
+    live = {r: f for r, f in inflows_by_route.items() if not f.is_zero}
+    total = sum_flows(list(live.values()))
+    profile = model.exit_profile(total)
+    exit_total = profile.outflow
+    out: dict[str, CumulativeFlow] = {}
+    if len(live) <= 1:
+        for r in inflows_by_route:
+            out[r] = exit_total if r in live else CumulativeFlow.zero()
+        return out, profile
+    for r, f in inflows_by_route.items():
+        if f.is_zero:
+            out[r] = CumulativeFlow.zero()
+            continue
+        ms, cs = _route_share(f, total)
+        # compose the share with the exit totals: vertices wherever the exit
+        # curve has one, plus preimages of the share's vertices
+        taus = set(float(t) for t in exit_total.times)
+        for m in ms:
+            # invert the exit cumulative at mass level m
+            taus.add(_mass_preimage(exit_total, float(m)))
+        taus_a = np.array(sorted(t for t in taus if np.isfinite(t)))
+        times: list[float] = []
+        lo_v: list[float] = []
+        hi_v: list[float] = []
+        for tau in taus_a:
+            vl = _share_at(ms, cs, exit_total.left_value(tau))
+            vr = _share_at(ms, cs, exit_total.value(tau))
+            if not times or tau > times[-1]:
+                times.append(float(tau))
+                lo_v.append(vl)
+                hi_v.append(vr)
+            else:
+                hi_v[-1] = max(hi_v[-1], vr)
+        out[r] = _from_vertices(times, lo_v, hi_v)
+    return out, profile
+
+
+def _share_at(ms: np.ndarray, cs: np.ndarray, m: float) -> float:
+    i = int(np.searchsorted(ms, m, side="right")) - 1
+    if i < 0:
+        return 0.0
+    if i >= ms.size - 1:
+        return float(cs[-1])
+    dm = ms[i + 1] - ms[i]
+    if dm == 0.0:
+        return float(cs[i])
+    return float(cs[i] + (m - ms[i]) * (cs[i + 1] - cs[i]) / dm)
+
+
+def _from_vertices(times: list[float], lo_v: list[float], hi_v: list[float]) -> CumulativeFlow:
+    t = np.array(times)
+    cums = np.array(hi_v)
+    atoms = cums - np.array(lo_v)
+    slopes = np.zeros_like(t)
+    if t.size > 1:
+        dt = np.diff(t)
+        dm = np.maximum(np.array(lo_v[1:]) - np.array(hi_v[:-1]), 0.0)
+        slopes[:-1] = dm / dt
+    return _build(t, np.maximum.accumulate(cums), np.maximum(atoms, 0.0), slopes)

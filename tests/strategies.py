@@ -22,7 +22,7 @@ bottlenecks_st = st.builds(
 
 
 @st.composite
-def flows_st(draw):
+def flows_st(draw, max_atoms=3):
     parts = []
     n_seg = draw(st.integers(min_value=0, max_value=4))
     for _ in range(n_seg):
@@ -31,7 +31,7 @@ def flows_st(draw):
         r = draw(rate_st)
         if r > 0:
             parts.append(CumulativeFlow.constant_rate(a, a + width, r))
-    n_atoms = draw(st.integers(min_value=0, max_value=3))
+    n_atoms = draw(st.integers(min_value=0, max_value=max_atoms))
     for _ in range(n_atoms):
         parts.append(CumulativeFlow.atom_at(draw(times_st), draw(mass_st)))
     return sum_flows(parts)

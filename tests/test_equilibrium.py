@@ -216,9 +216,7 @@ def test_fixed_departure_class_only_picks_routes():
     state = solve_departure_choice(
         net,
         [cls],
-        SolverConfig(
-            bin_width=0.25, max_iters=80, tolerance=1e-6, step_rule="fixed", fixed_step=0.5
-        ),
+        SolverConfig(bin_width=0.25, max_iters=80, tolerance=1e-6),
         H4,
     )
     assert state.flows["r1"].total == pytest.approx(2.0, rel=1e-4)
@@ -275,9 +273,7 @@ def _fixed_departure_instance():
     # test_fixed_departure_class_only_picks_routes
     net = parallel({"r1": ConstantModel(1.0), "r2": ConstantModel(2.0)})
     cls = UserClass("A", "B", mass=2.0, departure_rate=CumulativeFlow.constant_rate(0.0, 1.0, 2.0))
-    config = SolverConfig(
-        bin_width=0.25, max_iters=80, tolerance=1e-6, step_rule="fixed", fixed_step=0.5
-    )
+    config = SolverConfig(bin_width=0.25, max_iters=80, tolerance=1e-6)
     return net, [cls], config, H4
 
 

@@ -50,6 +50,32 @@ def test_measure_is_finitely_additive(f, a, b, c):
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + f.total))
 
 
+# -- construction from vertices ---------------------------------------------
+
+def test_from_vertices_reads_atoms_and_densities():
+    f = CumulativeFlow.from_vertices([0.0, 1.0, 3.0], [0.0, 1.5, 2.0], [0.5, 1.5, 4.0])
+    assert same_bits(f.times, [0.0, 1.0, 3.0])
+    assert same_bits(f.atoms, [0.5, 0.0, 2.0])
+    assert same_bits(f.slopes, [1.0, 0.25, 0.0])
+    assert same_bits(f.cums, [0.5, 1.5, 4.0])
+
+
+def test_from_vertices_lifts_a_one_ulp_dip():
+    dip = np.nextafter(1.0, 0.0)
+    f = CumulativeFlow.from_vertices([0.0, 1.0, 2.0], [0.0, 1.0, dip], [0.0, 1.0, dip])
+    # the dip is no negative density, and the flat vertex after it is dropped
+    assert same_flow_bits(f, CumulativeFlow.constant_rate(0.0, 1.0, 1.0))
+    # a value that dips below the one before keeps the earlier level
+    g = CumulativeFlow.from_vertices([0.0, 1.0], [0.0, dip], [1.0, dip])
+    assert same_flow_bits(g, CumulativeFlow.atom_at(0.0, 1.0))
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+def test_from_vertices_rejects_times_that_do_not_increase(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CumulativeFlow.from_vertices(times, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+
 # -- batched evaluation ------------------------------------------------------
 
 def _assert_batched_flow_bits(f, hs):

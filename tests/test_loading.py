@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynwardrop import network as network_module
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
@@ -17,8 +18,12 @@ from dynwardrop.network import (
 )
 from dynwardrop.oracle import GridConfig, oracle_load
 
-from fixtures import acceptance_fixtures, ladder_fixture, rotary_fixture
+import loop_reference
+from fixtures import (
+    acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture,
+)
 from helpers import curve_linf, same_bits, same_flow_bits
+from strategies import bottlenecks_st, flows_st
 
 
 def two_constant_chain() -> Network:
@@ -104,6 +109,50 @@ def test_flowing_conserves_mass_per_route():
 
 
 # -- load -----------------------------------------------------------------------
+
+_VOLUME_DELAY = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
+
+
+@st.composite
+def split_inputs_st(draw):
+    """An arc model and 2-4 route inflows, some of them zero; atoms only where
+    the model admits them (not on volume-delay arcs)."""
+    kind = draw(st.sampled_from(["bottleneck", "constant", "volume_delay"]))
+    if kind == "volume_delay":
+        model, max_atoms = _VOLUME_DELAY, 0
+    elif kind == "constant":
+        model, max_atoms = ConstantModel(draw(st.floats(0.1, 2.0))), 3
+    else:
+        model, max_atoms = draw(bottlenecks_st), 3
+    inflows = draw(st.lists(flows_st(max_atoms=max_atoms), min_size=2, max_size=4))
+    return model, {f"r{k}": f for k, f in enumerate(inflows)}
+
+
+@given(split_inputs_st())
+@settings(max_examples=150, deadline=None)
+def test_flowing_split_matches_loop_reference_bits(inputs):
+    model, inflows = inputs
+    got, got_profile = flowing(model, inflows)
+    want, want_profile = loop_reference.flowing(model, inflows)
+    assert list(got) == list(want)
+    for r in want:
+        assert same_flow_bits(got[r], want[r])
+    assert same_flow_bits(got_profile.outflow, want_profile.outflow)
+
+
+def test_jittered_ladder_loads_conserving_mass():
+    # pushing this ladder's flow through a volume-delay arc computes an
+    # outflow vertex 4.4e-16 below the one before it; that is rounding noise
+    fx = jittered_ladder_fixture(seed=9, m=3)
+    bundle = load(fx.network, fx.flows)
+    for aid in fx.network.arcs:
+        sent = bundle.total(aid).total
+        assert abs(bundle.outflow_total(aid).total - sent) <= 1e-12 * sent
+    for rid, arc_ids in fx.network.routes.items():
+        mass = fx.flows[rid].total
+        for aid in arc_ids:
+            assert abs(bundle.inflow(aid, rid).total - mass) <= 1e-12 * mass
+
 
 def test_chained_constants_shift_atom_twice():
     net = two_constant_chain()

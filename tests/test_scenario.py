@@ -120,3 +120,10 @@ def test_route_flow_csv_round_trip(tmp_path):
     back = read_route_flows_csv(p)
     assert back["r2"].is_zero
     assert curve_linf(flows["r1"], back["r1"]) < 1e-9
+
+
+def test_route_flow_csv_with_decreasing_cumulative_rejected(tmp_path):
+    p = tmp_path / "route_flows.csv"
+    p.write_text("route,h,cumulative\nr1,0,0\nr1,1,2\nr1,2,1.5\n")
+    with pytest.raises(ValidationError, match="r1"):
+        read_route_flows_csv(p)
