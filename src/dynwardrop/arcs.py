@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ExitTimeCurve, PiecewiseLinearMap
+from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
 from .errors import ModelParameterError, NonTermination
 from .flows import CumulativeFlow, Horizon, pushforward, sum_flows
 
@@ -293,48 +293,34 @@ def _volume_exit_map(
     frontier: float,
 ) -> ExitTimeCurve:
     """Exit map h -> h + delay(volume on arc at h), exact on [h0, frontier]."""
-    cand = {h0, frontier}
-    for t in inflow.times:
-        if h0 < t < frontier:
-            cand.add(float(t))
-    if not exits.is_zero:
-        for t in exits.times:
-            if h0 < t < frontier:
-                cand.add(float(t))
-    base = np.array(sorted(cand))
+    ts = np.concatenate([[h0, frontier], inflow.times, exits.times])
+    base = sorted_set(ts[(ts >= h0) & (ts <= frontier)])
 
-    def vol_right(x: float) -> float:
-        return max(0.0, inflow.value(x) - exits.value(x))
+    def vol_right(x: np.ndarray) -> np.ndarray:
+        return _positive_part(inflow.values(x) - exits.values(x))
 
-    def vol_left(x: float) -> float:
-        return max(0.0, inflow.left_value(x) - exits.left_value(x))
+    def vol_left(x: np.ndarray) -> np.ndarray:
+        return _positive_part(inflow.left_values(x) - exits.left_values(x))
 
-    # refine with crossings of the delay function's volume breakpoints
-    refined = set(float(x) for x in base)
-    vols = dmap.xs
-    for a, b in zip(base[:-1], base[1:]):
-        va, vb = vol_right(a), vol_left(b)
-        lo, hi = min(va, vb), max(va, vb)
-        if hi <= lo:
-            continue
-        for vb_level in vols:
-            if lo < vb_level < hi:
-                x = a + (vb_level - va) * (b - a) / (vb - va)
-                if a < x < b:
-                    refined.add(float(x))
-    xs_in = np.array(sorted(refined))
+    # refine with crossings of the delay function's volume breakpoints: the
+    # volume is linear from a to b, and the delay has only a few breakpoints
+    a, b = base[:-1, None], base[1:, None]
+    va, vb = vol_right(base[:-1])[:, None], vol_left(base[1:])[:, None]
+    lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+    levels = dmap.xs[None, :]
+    with np.errstate(all="ignore"):
+        x = a + (levels - va) * (b - a) / (vb - va)
+    crossing = (hi > lo) & (lo < levels) & (levels < hi) & (a < x) & (x < b)
+    xs_in = sorted_set(np.concatenate([base, x[crossing]]))
 
-    xs: list[float] = []
-    ys: list[float] = []
-    for x in xs_in:
-        yl = x + dmap.value(vol_left(x))
-        yr = x + dmap.value(vol_right(x))
-        xs.append(float(x))
-        ys.append(float(yl))
-        if yr != yl:
-            xs.append(float(x))
-            ys.append(float(yr))
-    return ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+    yl = xs_in + dmap.values(vol_left(xs_in))
+    yr = xs_in + dmap.values(vol_right(xs_in))
+    # (x, yl) at every instant, then (x, yr) where the curve jumps
+    keep = np.ones(2 * xs_in.size, dtype=bool)
+    keep[1::2] = yr != yl
+    xs = np.repeat(xs_in, 2)[keep]
+    ys = np.column_stack([yl, yr]).ravel()[keep]
+    return ExitTimeCurve(xs, ys, 1.0, 1.0)
 
 
 # -- conformance --------------------------------------------------------------

@@ -144,6 +144,42 @@ class PiecewiseLinearMap:
             return float(xs[k])
         return float(xs[k - 1] + (y - ys[k - 1]) * (xs[k] - xs[k - 1]) / dy)
 
+    def preimages_sup(self, y) -> np.ndarray:
+        """``preimage_sup`` at every level of ``y``, bit for bit, in one pass."""
+        y = np.asarray(y, dtype=float)
+        xs, ys = self.xs, self.ys
+        # the last vertex at or below y is the last whose suffix minimum is
+        k = np.searchsorted(np.minimum.accumulate(ys[::-1])[::-1], y, side="right") - 1
+        k0 = np.clip(k, 0, xs.size - 1)
+        k1 = np.minimum(k0 + 1, xs.size - 1)
+        dy = ys[k1] - ys[k0]
+        with np.errstate(all="ignore"):
+            inside = xs[k0] + (y - ys[k0]) * (xs[k1] - xs[k0]) / dy
+            below = xs[0] + (y - ys[0]) / self.lo_slope
+            above = xs[-1] + (y - ys[-1]) / self.hi_slope
+        inside = np.where((dy <= 0) | (xs[k1] == xs[k0]), xs[k0], inside)
+        below = below if self.lo_slope > 0 else np.full(y.shape, -np.inf)
+        above = above if self.hi_slope > 0 else np.full(y.shape, np.inf)
+        return np.where(y >= ys[-1], above, np.where(k < 0, below, inside))
+
+    def preimages_inf(self, y) -> np.ndarray:
+        """``preimage_inf`` at every level of ``y``, bit for bit, in one pass."""
+        y = np.asarray(y, dtype=float)
+        xs, ys = self.xs, self.ys
+        # the first vertex at or above y is the first whose prefix maximum is
+        k = np.searchsorted(np.maximum.accumulate(ys), y, side="left")
+        k1 = np.clip(k, 1, xs.size - 1)
+        k0 = k1 - 1
+        dy = ys[k1] - ys[k0]
+        with np.errstate(all="ignore"):
+            inside = xs[k0] + (y - ys[k0]) * (xs[k1] - xs[k0]) / dy
+            below = xs[0] + (y - ys[0]) / self.lo_slope
+            above = xs[-1] + (y - ys[-1]) / self.hi_slope
+        inside = np.where((dy <= 0) | (xs[k1] == xs[k0]), xs[k1], inside)
+        below = below if self.lo_slope > 0 else np.full(y.shape, -np.inf)
+        above = above if self.hi_slope > 0 else np.full(y.shape, np.inf)
+        return np.where(y <= ys[0], below, np.where(k == xs.size, above, inside))
+
     # -- calculus ----------------------------------------------------------
 
     def integrate(self, lo: float, hi: float) -> float:
@@ -164,48 +200,45 @@ class PiecewiseLinearMap:
 
     def compose_after(self, inner: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
         """The map x -> self(inner(x))."""
-        cands = set(float(x) for x in inner.xs)
-        for y in self.xs:
-            a = inner.preimage_inf(float(y))
-            b = inner.preimage_sup(float(y))
-            for c in (a, b):
-                if np.isfinite(c):
-                    cands.add(float(c))
+        levels = self.xs
+        pre = np.column_stack([inner.preimages_inf(levels), inner.preimages_sup(levels)]).ravel()
         # crossings of outer kink levels inside every inner segment, so the
-        # result is exact even where inner is not monotone
+        # result is exact even where inner is not monotone; the levels inside
+        # a segment are a run of the sorted outer kinks
         ixs, iys = inner.xs, inner.ys
-        for i in range(ixs.size - 1):
-            dx = ixs[i + 1] - ixs[i]
-            dy = iys[i + 1] - iys[i]
-            if dx == 0.0 or dy == 0.0:
-                continue
-            lo, hi = min(iys[i], iys[i + 1]), max(iys[i], iys[i + 1])
-            for level in self.xs:
-                if lo < level < hi:
-                    cands.add(float(ixs[i] + (level - iys[i]) * dx / dy))
-        order = np.array(sorted(cands))
-        xs_out: list[float] = []
-        ys_out: list[float] = []
-        prev_x: float | None = None
-        for x in order:
-            inner_l = inner.left_value(x)
-            inner_r = inner.value(x)
-            if prev_x is None or x == prev_x:
-                rising = True
-            else:
-                rising = inner_l > inner.value(prev_x) + 0.0
-            left = self.left_value(inner_l) if rising else self.value(inner_l)
-            right = self.value(inner_r)
-            if not xs_out or left != ys_out[-1] or x != xs_out[-1]:
-                xs_out.append(float(x))
-                ys_out.append(float(left))
-            if right != ys_out[-1]:
-                xs_out.append(float(x))
-                ys_out.append(float(right))
-            prev_x = float(x)
+        dx, dy = np.diff(ixs), np.diff(iys)
+        first = np.searchsorted(levels, np.minimum(iys[:-1], iys[1:]), side="right")
+        count = np.searchsorted(levels, np.maximum(iys[:-1], iys[1:]), side="left") - first
+        count = np.where((dx == 0.0) | (dy == 0.0), 0, np.maximum(count, 0))
+        seg = np.repeat(np.arange(dx.size), count)
+        run_start = np.cumsum(count) - count
+        level = levels[np.repeat(first - run_start, count) + np.arange(seg.size)]
+        cross = ixs[seg] + (level - iys[seg]) * dx[seg] / dy[seg]
+        x = sorted_set(np.concatenate([ixs, pre[np.isfinite(pre)], cross]))
+        inner_l, inner_r = inner.left_values(x), inner.values(x)
+        # where inner rises into x, self is entered from the left
+        rising = np.ones(x.size, dtype=bool)
+        rising[1:] = inner_l[1:] > inner_r[:-1]
+        left = np.where(rising, self.left_values(inner_l), self.values(inner_l))
+        right = self.values(inner_r)
+        # (x, left) at every candidate, then (x, right) where the composite jumps
+        keep = np.ones(2 * x.size, dtype=bool)
+        keep[1::2] = right != left
+        xs_out = np.repeat(x, 2)[keep]
+        ys_out = np.column_stack([left, right]).ravel()[keep]
         lo = self.lo_slope * inner.lo_slope
         hi = self.hi_slope * inner.hi_slope
-        return PiecewiseLinearMap(np.array(xs_out), np.array(ys_out), lo, hi)
+        return PiecewiseLinearMap(xs_out, ys_out, lo, hi)
+
+
+def sorted_set(values) -> np.ndarray:
+    """``sorted(set(values))`` as an array: of equal values (0.0 and -0.0) the
+    first one in ``values`` is kept."""
+    a = np.asarray(values, dtype=float)
+    a = a[np.argsort(a, kind="stable")]
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 class ExitTimeCurve(PiecewiseLinearMap):

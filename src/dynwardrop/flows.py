@@ -382,29 +382,31 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         return CumulativeFlow.zero()
     if len(parts) == 1:
         return parts[0]
-    all_times = np.unique(np.concatenate([f.times for f in parts]))
     reps: list[float] = []
     ends: list[float] = []
-    for t in all_times:
+    for t in np.unique(np.concatenate([f.times for f in parts])).tolist():
         if reps and t - reps[-1] <= MERGE_TOL:
             ends[-1] = t
         else:
-            reps.append(float(t))
-            ends.append(float(t))
+            reps.append(t)
+            ends.append(t)
     reps_a = np.array(reps)
     ends_a = np.array(ends)
+    mids = (ends_a[:-1] + reps_a[1:]) / 2
     cums = np.zeros(reps_a.size)
     atoms = np.zeros(reps_a.size)
     slopes = np.zeros(reps_a.size)
     for f in parts:
-        for i, (lo, hi) in enumerate(zip(reps_a, ends_a)):
-            j0 = int(np.searchsorted(f.times, lo, side="left"))
-            j1 = int(np.searchsorted(f.times, hi, side="right"))
-            atoms[i] += float(np.sum(f.atoms[j0:j1]))
-        cums += np.array([f.value(t) for t in ends_a])
-    for i in range(reps_a.size - 1):
-        mid = (ends_a[i] + reps_a[i + 1]) / 2
-        slopes[i] = sum(f.slope_at(mid) for f in parts)
+        # the part's vertices inside each cluster are f.times[j0:j1]
+        j0 = np.searchsorted(f.times, reps_a, side="left")
+        j1 = np.searchsorted(f.times, ends_a, side="right")
+        held = np.where(j1 > j0, f.atoms[np.minimum(j0, f.times.size - 1)], 0.0)
+        for i in np.nonzero(j1 - j0 > 1)[0]:
+            held[i] = np.sum(f.atoms[j0[i]:j1[i]])
+        atoms += held
+        cums += f.values(ends_a)
+        i = np.searchsorted(f.times, mids, side="right") - 1
+        slopes[:-1] += np.where(i < 0, 0.0, f.slopes[np.maximum(i, 0)])
     return _build(reps_a, cums, atoms, slopes)
 
 
@@ -429,23 +431,12 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     # Sample (exit time, cumulative mass, entry time) vertices.  Each entry
     # instant u contributes its left limit, a flat stretch across any jump of
     # the map, and a vertical rise for an atom of the flow.
-    taus: list[float] = []
-    masses: list[float] = []
-    sources: list[float] = []
-    for u in us:
-        tl, tr = curve.left_value(u), curve.value(u)
-        ml, mr = flow.left_value(u), flow.value(u)
-        taus.append(tl)
-        masses.append(ml)
-        sources.append(u)
-        if tr > tl:
-            taus.append(tr)
-            masses.append(ml)
-            sources.append(u)
-        if mr > ml:
-            taus.append(tr)
-            masses.append(mr)
-            sources.append(u)
+    tl, tr = curve.left_values(us), curve.values(us)
+    ml, mr = flow.left_values(us), flow.values(us)
+    keep = np.column_stack([np.ones(us.size, dtype=bool), tr > tl, mr > ml]).ravel()
+    taus = np.column_stack([tl, tr, tr]).ravel()[keep].tolist()
+    masses = np.column_stack([ml, ml, mr]).ravel()[keep].tolist()
+    sources = np.repeat(us, 3)[keep].tolist()
 
     total = flow.total
     tiny = 1e-12 * (1.0 + total)

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .arcs import ArcModel, ExitProfile
-from .curves import ExitTimeCurve, PiecewiseLinearMap
+from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
 from .errors import NonTermination, ValidationError
 from .flows import CumulativeFlow, Horizon, sum_flows
 
@@ -141,26 +141,25 @@ def _route_share(route_flow: CumulativeFlow, total_flow: CumulativeFlow) -> tupl
     shared point mass the split is proportional.
     """
     ts = np.union1d(route_flow.times, total_flow.times)
+    # left limit, then value, at every instant
+    m_all = np.column_stack([total_flow.left_values(ts), total_flow.values(ts)]).ravel()
+    c_all = np.column_stack([route_flow.left_values(ts), route_flow.values(ts)]).ravel()
     ms: list[float] = [0.0]
     cs: list[float] = [0.0]
-    for t in ts:
-        for m, c in (
-            (total_flow.left_value(t), route_flow.left_value(t)),
-            (total_flow.value(t), route_flow.value(t)),
-        ):
-            if m > ms[-1]:
-                ms.append(m)
-                cs.append(c)
-            elif c > cs[-1]:
-                cs[-1] = c
+    for m, c in zip(m_all.tolist(), c_all.tolist()):
+        if m > ms[-1]:
+            ms.append(m)
+            cs.append(c)
+        elif c > cs[-1]:
+            cs[-1] = c
     return np.array(ms), np.array(cs)
 
 
 def flowing(
     model: ArcModel, inflows_by_route: Mapping[str, CumulativeFlow]
-) -> tuple[dict[str, CumulativeFlow], ExitProfile]:
-    """Per-route outflows of one arc, given its per-route inflows, and the
-    arc's exit profile under their total.
+) -> tuple[dict[str, CumulativeFlow], ExitProfile, CumulativeFlow]:
+    """Per-route outflows of one arc, given its per-route inflows, the arc's
+    exit profile under their total, and that total.
 
     The total outflow is the image of the total inflow under the arc's exit
     behaviour; each route receives the share it holds among the entrants, in
@@ -175,7 +174,7 @@ def flowing(
     if len(live) <= 1:
         for r in inflows_by_route:
             out[r] = exit_total if r in live else CumulativeFlow.zero()
-        return out, profile
+        return out, profile, total
     for r, f in inflows_by_route.items():
         if f.is_zero:
             out[r] = CumulativeFlow.zero()
@@ -183,11 +182,8 @@ def flowing(
         ms, cs = _route_share(f, total)
         # compose the share with the exit totals: vertices wherever the exit
         # curve has one, plus preimages of the share's vertices
-        taus = set(float(t) for t in exit_total.times)
-        for m in ms:
-            # invert the exit cumulative at mass level m
-            taus.add(_mass_preimage(exit_total, float(m)))
-        taus_a = np.array(sorted(t for t in taus if np.isfinite(t)))
+        taus = np.concatenate([exit_total.times, _mass_preimages(exit_total, ms)])
+        taus_a = sorted_set(taus[np.isfinite(taus)])
         # route mass as a function of total mass, flat beyond both ends
         share = PiecewiseLinearMap(ms, cs, 0.0, 0.0)
         out[r] = CumulativeFlow.from_vertices(
@@ -195,26 +191,24 @@ def flowing(
             share.values(exit_total.left_values(taus_a)),
             share.values(exit_total.values(taus_a)),
         )
-    return out, profile
+    return out, profile, total
 
 
-def _mass_preimage(flow: CumulativeFlow, m: float) -> float:
-    """Earliest time the cumulative curve reaches mass level m."""
+def _mass_preimages(flow: CumulativeFlow, m: np.ndarray) -> np.ndarray:
+    """Earliest time the cumulative curve reaches each mass level of m."""
     if flow.is_zero:
-        return float("nan")
-    if m <= 0.0:
-        return float(flow.times[0])
-    if m >= flow.total:
-        return float(flow.times[-1])
-    i = int(np.searchsorted(flow.cums, m, side="left"))
-    t_hi, c_hi = float(flow.times[i]), float(flow.cums[i])
-    if i == 0:
-        return t_hi
-    c_lo = float(flow.cums[i - 1])
-    t_lo = float(flow.times[i - 1])
-    if c_hi - flow.atoms[i] <= m or flow.slopes[i - 1] == 0.0:
-        return t_hi
-    return t_lo + (m - c_lo) / flow.slopes[i - 1]
+        return np.full(m.shape, np.nan)
+    times, cums = flow.times, flow.cums
+    j = np.searchsorted(cums, m, side="left")
+    i = np.clip(j, 1, times.size - 1)
+    slope = flow.slopes[i - 1]
+    with np.errstate(all="ignore"):
+        rising = times[i - 1] + (m - cums[i - 1]) / slope
+    # m is reached at times[i] when an atom there lifts the curve past it
+    at_vertex = (cums[i] - flow.atoms[i] <= m) | (slope == 0.0)
+    inside = np.where(at_vertex, times[i], rising)
+    # a level at or below the first vertex's mass (0 included) is reached there
+    return np.where(m >= flow.total, times[-1], np.where(j == 0, times[0], inside))
 
 
 def load(
@@ -256,8 +250,7 @@ def _load_in_order(
     totals = dict.fromkeys(network.arcs)
     profiles = dict.fromkeys(network.arcs)
     for aid in order:
-        outflows, profiles[aid] = flowing(network.arcs[aid].model, inflows[aid])
-        totals[aid] = sum_flows(list(inflows[aid].values()))
+        outflows, profiles[aid], totals[aid] = flowing(network.arcs[aid].model, inflows[aid])
         for rid, nxt in crossings[aid].items():
             if nxt is not None:
                 inflows[nxt][rid] = outflows[rid]
@@ -290,7 +283,7 @@ def _load_by_frontier(
             new_bundle[arc_ids[0]][rid] = x[rid].restrict(frontier)
             for prev, nxt in zip(arc_ids[:-1], arc_ids[1:]):
                 if prev not in outflow_cache:
-                    outflow_cache[prev], _ = flowing(
+                    outflow_cache[prev], _, _ = flowing(
                         network.arcs[prev].model, bundle[prev]
                     )
                 new_bundle[nxt][rid] = outflow_cache[prev][rid].restrict(frontier)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dynwardrop.errors import DynWardropError
 from dynwardrop.flows import CumulativeFlow
 
 
@@ -40,3 +41,20 @@ def same_flow_bits(f: CumulativeFlow, g: CumulativeFlow) -> bool:
         same_bits(getattr(f, name), getattr(g, name))
         for name in ("times", "cums", "atoms", "slopes")
     )
+
+
+def outcome(fn, *args):
+    """``("ok", result)``, or ``("raises", type, message)`` when ``fn`` raises
+    one of the package's documented errors, so that two implementations can
+    be compared on inputs outside a model's admissible family too."""
+    try:
+        return "ok", fn(*args)
+    except (DynWardropError, ValueError) as exc:
+        return "raises", type(exc), str(exc)
+
+
+def same_outcome(got, want, same) -> bool:
+    """Two ``outcome`` results: the same error, or results ``same`` finds equal."""
+    if got[0] != want[0]:
+        return False
+    return same(got[1], want[1]) if want[0] == "ok" else got[1:] == want[1:]

@@ -3,6 +3,10 @@
 Each function is the implementation the batched code replaced, kept as it
 was: one scalar ``value``/``left_value`` call per point and Python-level
 accumulation.  The tests assert that the batched paths return the same bits.
+A loop copy carries the name of the code it replaced, so ``flowing`` here
+runs on the loop copies of ``sum_flows``, ``_route_share`` and
+``_mass_preimage``; ``compose_after`` takes the map as its first argument, as
+the method does.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from dynwardrop.arcs import ArcModel, ExitProfile, _point_queue_exits
-from dynwardrop.curves import ExitTimeCurve
+from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.equilibrium import UserClass
-from dynwardrop.flows import CumulativeFlow, _build, sum_flows
-from dynwardrop.network import TravelTimePattern, _mass_preimage, _route_share
+from dynwardrop.errors import FifoViolation
+from dynwardrop.flows import MERGE_TOL, CumulativeFlow, _build
+from dynwardrop.network import TravelTimePattern
 
 
 def piecewise_rate(segments: Iterable[tuple[float, float, float]]) -> CumulativeFlow:
@@ -109,7 +114,7 @@ def _utility_at(cls: UserClass, arrival_curve, h: float, left: bool = False) -> 
 
 def flowing(
     model: ArcModel, inflows_by_route: Mapping[str, CumulativeFlow]
-) -> tuple[dict[str, CumulativeFlow], ExitProfile]:
+) -> tuple[dict[str, CumulativeFlow], ExitProfile, CumulativeFlow]:
     """``network.flowing`` splitting the outflow one exit instant at a time."""
     live = {r: f for r, f in inflows_by_route.items() if not f.is_zero}
     total = sum_flows(list(live.values()))
@@ -119,7 +124,7 @@ def flowing(
     if len(live) <= 1:
         for r in inflows_by_route:
             out[r] = exit_total if r in live else CumulativeFlow.zero()
-        return out, profile
+        return out, profile, total
     for r, f in inflows_by_route.items():
         if f.is_zero:
             out[r] = CumulativeFlow.zero()
@@ -145,7 +150,7 @@ def flowing(
             else:
                 hi_v[-1] = max(hi_v[-1], vr)
         out[r] = _from_vertices(times, lo_v, hi_v)
-    return out, profile
+    return out, profile, total
 
 
 def _share_at(ms: np.ndarray, cs: np.ndarray, m: float) -> float:
@@ -170,3 +175,273 @@ def _from_vertices(times: list[float], lo_v: list[float], hi_v: list[float]) -> 
         dm = np.maximum(np.array(lo_v[1:]) - np.array(hi_v[:-1]), 0.0)
         slopes[:-1] = dm / dt
     return _build(t, np.maximum.accumulate(cums), np.maximum(atoms, 0.0), slopes)
+
+
+# loop copy of ``PiecewiseLinearMap.compose_after``
+def compose_after(self, inner: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
+    """The map x -> self(inner(x))."""
+    cands = set(float(x) for x in inner.xs)
+    for y in self.xs:
+        a = inner.preimage_inf(float(y))
+        b = inner.preimage_sup(float(y))
+        for c in (a, b):
+            if np.isfinite(c):
+                cands.add(float(c))
+    # crossings of outer kink levels inside every inner segment, so the
+    # result is exact even where inner is not monotone
+    ixs, iys = inner.xs, inner.ys
+    for i in range(ixs.size - 1):
+        dx = ixs[i + 1] - ixs[i]
+        dy = iys[i + 1] - iys[i]
+        if dx == 0.0 or dy == 0.0:
+            continue
+        lo, hi = min(iys[i], iys[i + 1]), max(iys[i], iys[i + 1])
+        for level in self.xs:
+            if lo < level < hi:
+                cands.add(float(ixs[i] + (level - iys[i]) * dx / dy))
+    order = np.array(sorted(cands))
+    xs_out: list[float] = []
+    ys_out: list[float] = []
+    prev_x: float | None = None
+    for x in order:
+        inner_l = inner.left_value(x)
+        inner_r = inner.value(x)
+        if prev_x is None or x == prev_x:
+            rising = True
+        else:
+            rising = inner_l > inner.value(prev_x) + 0.0
+        left = self.left_value(inner_l) if rising else self.value(inner_l)
+        right = self.value(inner_r)
+        if not xs_out or left != ys_out[-1] or x != xs_out[-1]:
+            xs_out.append(float(x))
+            ys_out.append(float(left))
+        if right != ys_out[-1]:
+            xs_out.append(float(x))
+            ys_out.append(float(right))
+        prev_x = float(x)
+    lo = self.lo_slope * inner.lo_slope
+    hi = self.hi_slope * inner.hi_slope
+    return PiecewiseLinearMap(np.array(xs_out), np.array(ys_out), lo, hi)
+
+
+# loop copy of ``flows.sum_flows``
+def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
+    """Pointwise sum of cumulative curves.
+
+    The result's breakpoints are the union of the inputs' breakpoints; times
+    closer than ``MERGE_TOL`` collapse onto the earliest of their cluster.
+    """
+    parts = [f for f in flows if not f.is_zero]
+    if not parts:
+        return CumulativeFlow.zero()
+    if len(parts) == 1:
+        return parts[0]
+    all_times = np.unique(np.concatenate([f.times for f in parts]))
+    reps: list[float] = []
+    ends: list[float] = []
+    for t in all_times:
+        if reps and t - reps[-1] <= MERGE_TOL:
+            ends[-1] = t
+        else:
+            reps.append(float(t))
+            ends.append(float(t))
+    reps_a = np.array(reps)
+    ends_a = np.array(ends)
+    cums = np.zeros(reps_a.size)
+    atoms = np.zeros(reps_a.size)
+    slopes = np.zeros(reps_a.size)
+    for f in parts:
+        for i, (lo, hi) in enumerate(zip(reps_a, ends_a)):
+            j0 = int(np.searchsorted(f.times, lo, side="left"))
+            j1 = int(np.searchsorted(f.times, hi, side="right"))
+            atoms[i] += float(np.sum(f.atoms[j0:j1]))
+        cums += np.array([f.value(t) for t in ends_a])
+    for i in range(reps_a.size - 1):
+        mid = (ends_a[i] + reps_a[i + 1]) / 2
+        # left to right from 0.0; the builtin sum compensates from Python 3.12
+        for f in parts:
+            slopes[i] += f.slope_at(mid)
+    return _build(reps_a, cums, atoms, slopes)
+
+
+# loop copy of ``flows.pushforward``
+def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
+    """Image measure of ``flow`` under a monotone time map.
+
+    ``curve`` is a piecewise-linear map (see ``curves.PiecewiseLinearMap``)
+    from entry times to exit times.  The result assigns to every interval J
+    the mass of its preimage, so total mass is conserved exactly.
+
+    Raises:
+        FifoViolation: the map decreases, or is constant, across an interval
+            carrying positive mass.
+    """
+    if flow.is_zero:
+        return flow
+    t0, t1 = flow.support()
+    kinks = curve.kinks()
+    inner = kinks[(kinks > t0) & (kinks < t1)]
+    us = np.union1d(flow.times, inner)
+
+    # Sample (exit time, cumulative mass, entry time) vertices.  Each entry
+    # instant u contributes its left limit, a flat stretch across any jump of
+    # the map, and a vertical rise for an atom of the flow.
+    taus: list[float] = []
+    masses: list[float] = []
+    sources: list[float] = []
+    for u in us:
+        tl, tr = curve.left_value(u), curve.value(u)
+        ml, mr = flow.left_value(u), flow.value(u)
+        taus.append(tl)
+        masses.append(ml)
+        sources.append(u)
+        if tr > tl:
+            taus.append(tr)
+            masses.append(ml)
+            sources.append(u)
+        if mr > ml:
+            taus.append(tr)
+            masses.append(mr)
+            sources.append(u)
+
+    total = flow.total
+    tiny = 1e-12 * (1.0 + total)
+    out_t: list[float] = [taus[0]]
+    out_m: list[float] = [masses[0]]
+    out_u: list[float] = [sources[0]]
+    for tau, m, u in zip(taus[1:], masses[1:], sources[1:]):
+        dm = m - out_m[-1]
+        if tau > out_t[-1]:
+            out_t.append(tau)
+            out_m.append(m)
+            out_u.append(u)
+            continue
+        if dm <= tiny:
+            # monotone wobble or flat stretch over zero mass: keep the level
+            if m > out_m[-1]:
+                out_m[-1] = m
+                out_u[-1] = u
+            continue
+        # positive mass maps backwards or onto a single instant
+        if tau < out_t[-1] - MERGE_TOL:
+            raise FifoViolation(
+                f"map sends mass {dm:.3g} backwards near entry time {u:.6g}"
+            )
+        if u > out_u[-1]:
+            raise FifoViolation(
+                f"map is constant over a positive-mass interval ending at {u:.6g}"
+            )
+        # atom of the flow: vertical rise at one exit instant
+        out_t.append(out_t[-1])
+        out_m.append(m)
+        out_u.append(u)
+
+    # Group vertices sharing an exit instant (within the merge tolerance);
+    # each group's vertical extent becomes an atom of the image measure.
+    g_time: list[float] = []
+    g_lo: list[float] = []
+    g_hi: list[float] = []
+    for tau, m in zip(out_t, out_m):
+        if not g_time or tau > g_time[-1] + MERGE_TOL:
+            g_time.append(tau)
+            g_lo.append(m)
+            g_hi.append(m)
+        else:
+            g_hi[-1] = m
+    return CumulativeFlow.from_vertices(g_time, g_lo, g_hi)
+
+
+# loop copy of ``arcs._volume_exit_map``
+def _volume_exit_map(
+    inflow: CumulativeFlow,
+    exits: CumulativeFlow,
+    dmap: PiecewiseLinearMap,
+    h0: float,
+    frontier: float,
+) -> ExitTimeCurve:
+    """Exit map h -> h + delay(volume on arc at h), exact on [h0, frontier]."""
+    cand = {h0, frontier}
+    for t in inflow.times:
+        if h0 < t < frontier:
+            cand.add(float(t))
+    if not exits.is_zero:
+        for t in exits.times:
+            if h0 < t < frontier:
+                cand.add(float(t))
+    base = np.array(sorted(cand))
+
+    def vol_right(x: float) -> float:
+        return max(0.0, inflow.value(x) - exits.value(x))
+
+    def vol_left(x: float) -> float:
+        return max(0.0, inflow.left_value(x) - exits.left_value(x))
+
+    # refine with crossings of the delay function's volume breakpoints
+    refined = set(float(x) for x in base)
+    vols = dmap.xs
+    for a, b in zip(base[:-1], base[1:]):
+        va, vb = vol_right(a), vol_left(b)
+        lo, hi = min(va, vb), max(va, vb)
+        if hi <= lo:
+            continue
+        for vb_level in vols:
+            if lo < vb_level < hi:
+                x = a + (vb_level - va) * (b - a) / (vb - va)
+                if a < x < b:
+                    refined.add(float(x))
+    xs_in = np.array(sorted(refined))
+
+    xs: list[float] = []
+    ys: list[float] = []
+    for x in xs_in:
+        yl = x + dmap.value(vol_left(x))
+        yr = x + dmap.value(vol_right(x))
+        xs.append(float(x))
+        ys.append(float(yl))
+        if yr != yl:
+            xs.append(float(x))
+            ys.append(float(yr))
+    return ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+
+
+# loop copy of ``network._route_share``
+def _route_share(route_flow: CumulativeFlow, total_flow: CumulativeFlow) -> tuple[np.ndarray, np.ndarray]:
+    """The route's cumulative mass as a function of the total cumulative mass.
+
+    Returns piecewise-linear vertices (total mass m, route mass c); inside a
+    shared point mass the split is proportional.
+    """
+    ts = np.union1d(route_flow.times, total_flow.times)
+    ms: list[float] = [0.0]
+    cs: list[float] = [0.0]
+    for t in ts:
+        for m, c in (
+            (total_flow.left_value(t), route_flow.left_value(t)),
+            (total_flow.value(t), route_flow.value(t)),
+        ):
+            if m > ms[-1]:
+                ms.append(m)
+                cs.append(c)
+            elif c > cs[-1]:
+                cs[-1] = c
+    return np.array(ms), np.array(cs)
+
+
+# loop copy of ``network._mass_preimages, one level at a time``
+def _mass_preimage(flow: CumulativeFlow, m: float) -> float:
+    """Earliest time the cumulative curve reaches mass level m."""
+    if flow.is_zero:
+        return float("nan")
+    if m <= 0.0:
+        return float(flow.times[0])
+    if m >= flow.total:
+        return float(flow.times[-1])
+    i = int(np.searchsorted(flow.cums, m, side="left"))
+    t_hi, c_hi = float(flow.times[i]), float(flow.cums[i])
+    if i == 0:
+        return t_hi
+    c_lo = float(flow.cums[i - 1])
+    t_lo = float(flow.times[i - 1])
+    if c_hi - flow.atoms[i] <= m or flow.slopes[i - 1] == 0.0:
+        return t_hi
+    return t_lo + (m - c_lo) / flow.slopes[i - 1]

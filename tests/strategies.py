@@ -37,14 +37,46 @@ def flows_st(draw, max_atoms=3):
     return sum_flows(parts)
 
 
+#: map ordinates; the sampled values repeat, so maps get flat pieces
+y_st = st.sampled_from([0.0, 0.5, 1.25, 2.0, 3.0]) | st.floats(min_value=-5.0, max_value=10.0)
+
+
 @st.composite
-def maps_st(draw, slope_st=st.floats(min_value=0.0, max_value=3.0)):
-    """Maps with repeated abscissae (jumps), boundary slopes drawn from slope_st."""
+def maps_st(draw, slope_st=st.floats(min_value=0.0, max_value=3.0), monotone=False):
+    """Maps with repeated abscissae (jumps), boundary slopes drawn from slope_st;
+    nondecreasing ones when ``monotone``."""
     n = draw(st.integers(min_value=1, max_value=6))
     x_st = st.sampled_from([0.0, 0.5, 1.25, 2.0, 3.0]) | times_st
     xs = sorted(draw(st.lists(x_st, min_size=n, max_size=n)))
-    ys = draw(st.lists(st.floats(min_value=-5.0, max_value=10.0), min_size=n, max_size=n))
+    if monotone:
+        ys = sorted(draw(st.lists(y_st, min_size=n, max_size=n)))
+    else:
+        ys = draw(st.lists(st.floats(min_value=-5.0, max_value=10.0), min_size=n, max_size=n))
     return PiecewiseLinearMap(np.array(xs), np.array(ys), draw(slope_st), draw(slope_st))
+
+
+#: offsets below, at and above ``flows.MERGE_TOL``
+jitter_st = st.sampled_from([0.0, 2e-10, 5e-10, 1e-9, 1.5e-9, 3e-9])
+
+
+@st.composite
+def clustered_parts_st(draw):
+    """2-4 flows whose breakpoints sit within ``MERGE_TOL`` of one another: rate
+    segments, single atoms, and pairs of atoms closer than the tolerance."""
+    base_st = st.sampled_from([0.0, 0.25, 1.0, 2.0])
+    parts = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        kind = draw(st.sampled_from(["rate", "atom", "atom_pair"]))
+        t = draw(base_st) + draw(jitter_st)
+        if kind == "rate":
+            end = draw(base_st) + draw(jitter_st) + draw(st.sampled_from([1e-9, 0.25, 1.0]))
+            parts.append(CumulativeFlow.constant_rate(t, max(end, t + 5e-10), draw(mass_st)))
+        elif kind == "atom":
+            parts.append(CumulativeFlow.atom_at(t, draw(mass_st)))
+        else:
+            m1, m2 = draw(mass_st), draw(mass_st)
+            parts.append(CumulativeFlow.from_vertices([t, t + 5e-10], [0.0, m1], [m1, m1 + m2]))
+    return parts
 
 
 def probe_points(knots: np.ndarray, extra) -> np.ndarray:

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dynwardrop import arcs
+from dynwardrop.arcs import ArcPerformanceModel
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.errors import FifoViolation
 from dynwardrop.flows import CumulativeFlow, sum_flows, pushforward
 
 import loop_reference
-from helpers import curve_linf, same_bits, same_flow_bits
+from helpers import curve_linf, outcome, same_bits, same_flow_bits, same_outcome
 from strategies import (
-    bottlenecks_st, flows_st, maps_st, probe_points, probe_st, rate_st, times_st,
+    bottlenecks_st, clustered_parts_st, flows_st, maps_st, probe_points, probe_st,
+    rate_st, times_st, y_st,
 )
 
 
@@ -297,4 +300,96 @@ def test_bottleneck_exit_profile_matches_loop_reference_bits(f, model):
     want = loop_reference.bottleneck_exit_profile(model, f)
     assert same_bits(got.curve.xs, want.curve.xs)
     assert same_bits(got.curve.ys, want.curve.ys)
+    assert same_flow_bits(got.outflow, want.outflow)
+
+
+# -- batched loading kernels against their loop versions --------------------------
+
+def _same_map_bits(got, want) -> bool:
+    return (
+        type(got) is type(want)
+        and same_bits(got.xs, want.xs) and same_bits(got.ys, want.ys)
+        and same_bits([got.lo_slope, got.hi_slope], [want.lo_slope, want.hi_slope])
+    )
+
+
+@given(maps_st(), st.lists(y_st, max_size=6))
+@example(PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 3.0, 0.0, 0.0]), 0.0, 0.0), [0.0, 1.0, 3.0])
+@settings(max_examples=300, deadline=None)
+def test_batched_preimages_match_scalar_bits(m, extra):
+    # levels at the vertices, between them, beyond both ends; flat and zero slopes
+    levels = probe_points(np.sort(m.ys), extra)
+    with warnings.catch_warnings():  # the batch divides by zero only in discarded branches
+        warnings.simplefilter("error", RuntimeWarning)
+        sups, infs = m.preimages_sup(levels), m.preimages_inf(levels)
+    assert same_bits(sups, [m.preimage_sup(float(y)) for y in levels])
+    assert same_bits(infs, [m.preimage_inf(float(y)) for y in levels])
+
+
+@given(maps_st(), maps_st())
+@example(  # a jump, a flat piece and a fall in the inner map; flat outer extensions
+    PiecewiseLinearMap(np.array([0.5, 2.0, 3.0]), np.array([0.0, 2.0, 2.0]), 0.0, 0.0),
+    PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.5, 2.5, 0.5]), 1.0, 0.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_compose_after_matches_loop_reference_bits(outer, inner):
+    # inner maps that jump, stay flat and fall; boundary slopes that are 0
+    assert _same_map_bits(outer.compose_after(inner), loop_reference.compose_after(outer, inner))
+
+
+@given(flows_st(), bottlenecks_st, bottlenecks_st)
+@settings(max_examples=100, deadline=None)
+def test_composed_exit_curves_match_loop_reference_bits(f, first, second):
+    # a route through two bottlenecks: the second one fed by the first
+    inner = first.exit_profile(f)
+    outer = second.exit_profile(inner.outflow).curve
+    assert _same_map_bits(
+        PiecewiseLinearMap.compose_after(outer, inner.curve),
+        loop_reference.compose_after(outer, inner.curve),
+    )
+
+
+@given(flows_st(), maps_st(slope_st=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0), monotone=True))
+@example(
+    CumulativeFlow.atom_at(1.0, 1.0),
+    PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5, 3.0]), 1.0, 1.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_pushforward_matches_loop_reference_bits(f, curve):
+    # atoms of the flow, jumps and flat pieces of the map; a map that is
+    # constant over mass raises, and both versions must raise alike
+    assert same_outcome(
+        outcome(pushforward, f, curve), outcome(loop_reference.pushforward, f, curve),
+        same_flow_bits,
+    )
+
+
+@given(clustered_parts_st())
+@example([CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.atom_at(1e-9, 1.0)])
+@example([CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.constant_rate(1e-9, 1.0, 0.25)])
+@settings(max_examples=400, deadline=None)
+def test_sum_flows_matches_loop_reference_bits(parts):
+    # breakpoints within MERGE_TOL of one another collapse onto clusters;
+    # where the cluster rule cannot build a curve, both versions raise alike
+    assert same_outcome(
+        outcome(sum_flows, parts), outcome(loop_reference.sum_flows, parts), same_flow_bits
+    )
+
+
+delay_models_st = st.sampled_from([
+    ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
+    ArcPerformanceModel.affine(0.5, 0.5),
+    ArcPerformanceModel((0.0, 2.0, 8.0), (0.8, 1.2, 2.4)),
+])
+
+
+@given(flows_st(max_atoms=0), delay_models_st)
+@settings(max_examples=200, deadline=None)
+def test_volume_delay_exit_profile_matches_loop_reference_bits(f, model):
+    got = model.exit_profile(f)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(arcs, "_volume_exit_map", loop_reference._volume_exit_map)
+        m.setattr(arcs, "pushforward", loop_reference.pushforward)
+        want = model.exit_profile(f)
+    assert _same_map_bits(got.curve, want.curve)
     assert same_flow_bits(got.outflow, want.outflow)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynwardrop import arcs as arcs_module
+from dynwardrop import flows as flows_module
 from dynwardrop import network as network_module
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
+from dynwardrop.curves import PiecewiseLinearMap
 from dynwardrop.errors import InstanceTooLarge, ValidationError
 from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import (
@@ -23,7 +26,7 @@ from fixtures import (
     acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture,
 )
 from helpers import curve_linf, same_bits, same_flow_bits
-from strategies import bottlenecks_st, flows_st
+from strategies import bottlenecks_st, flows_st, probe_points
 
 
 def two_constant_chain() -> Network:
@@ -71,18 +74,18 @@ def test_route_repeating_arc_rejected():
 # -- flowing --------------------------------------------------------------------
 
 def test_flowing_single_route_constant_shifts_atom():
-    out, _ = flowing(ConstantModel(1.0), {"r": CumulativeFlow.atom_at(0.0, 1.0)})
+    out, _, _ = flowing(ConstantModel(1.0), {"r": CumulativeFlow.atom_at(0.0, 1.0)})
     assert out["r"].atom_mass(1.0) == 1.0
 
 
 def test_flowing_zero_in_zero_out():
-    out, _ = flowing(ConstantModel(1.0), {"r": CumulativeFlow.zero()})
+    out, _, _ = flowing(ConstantModel(1.0), {"r": CumulativeFlow.zero()})
     assert out["r"].is_zero
 
 
 def test_flowing_two_atoms_share_bottleneck_release():
     model = BottleneckModel(1.0, 1.0)
-    out, _ = flowing(
+    out, _, _ = flowing(
         model,
         {
             "r1": CumulativeFlow.atom_at(0.0, 1.0),
@@ -103,7 +106,7 @@ def test_flowing_conserves_mass_per_route():
         "r1": CumulativeFlow.constant_rate(0.0, 1.0, 1.0),
         "r2": CumulativeFlow.constant_rate(0.5, 2.0, 0.6),
     }
-    out, _ = flowing(model, inflows)
+    out, _, _ = flowing(model, inflows)
     for r, f in inflows.items():
         assert out[r].total == pytest.approx(f.total, rel=1e-12)
 
@@ -132,12 +135,23 @@ def split_inputs_st(draw):
 @settings(max_examples=150, deadline=None)
 def test_flowing_split_matches_loop_reference_bits(inputs):
     model, inflows = inputs
-    got, got_profile = flowing(model, inflows)
-    want, want_profile = loop_reference.flowing(model, inflows)
+    got, got_profile, got_total = flowing(model, inflows)
+    want, want_profile, want_total = loop_reference.flowing(model, inflows)
     assert list(got) == list(want)
     for r in want:
         assert same_flow_bits(got[r], want[r])
     assert same_flow_bits(got_profile.outflow, want_profile.outflow)
+    assert same_flow_bits(got_total, want_total)
+
+
+@given(flows_st(), st.lists(st.floats(min_value=-1.0, max_value=30.0), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_mass_preimages_match_loop_reference_bits(f, extra):
+    # levels at 0, at every cumulative value and left limit, between them, beyond the total
+    levels = probe_points(np.unique(np.concatenate([f.cums, f.cums - f.atoms])), extra)
+    got = network_module._mass_preimages(f, levels)
+    want = [loop_reference._mass_preimage(f, float(m)) for m in levels]
+    assert same_bits(got, want)
 
 
 def test_jittered_ladder_loads_conserving_mass():
@@ -199,7 +213,7 @@ def test_global_conservation_on_mixed_network():
         "r2": CumulativeFlow.piecewise_rate([(0.0, 1.0, 0.5), (1.0, 3.0, 1.5)]),
     }
     bundle = load(net, x)
-    out, _ = flowing(net.arcs["d"].model, bundle.inflows["d"])
+    out, _, _ = flowing(net.arcs["d"].model, bundle.inflows["d"])
     for rid, f in x.items():
         assert out[rid].total == pytest.approx(f.total, rel=1e-9)
         # mass conserved along every arc of the route
@@ -304,6 +318,45 @@ def test_cyclic_precedence_loads_by_frontier(monkeypatch):
     with pytest.raises(InstanceTooLarge):
         oracle_load(net, fx.flows, GridConfig(net.t_min_star / 8))
 
+
+def _loaded_arrays(fx) -> list[np.ndarray]:
+    """Every stored array of a load, its route times and a few mean travel
+    times, in a fixed order."""
+    bundle = load(fx.network, fx.flows)
+    out = []
+    for aid in fx.network.arcs:
+        flows_ = [*bundle.inflows[aid].values(), bundle.total(aid), bundle.outflow_total(aid)]
+        out += [getattr(f, n) for f in flows_ for n in ("times", "cums", "atoms", "slopes")]
+        out += [bundle.profiles[aid].curve.xs, bundle.profiles[aid].curve.ys]
+    times = route_times(fx.network, bundle, fx.horizon)
+    for rid, curve in times.arrivals.items():
+        out += [curve.xs, curve.ys]
+        out.append([times.mean_travel_time(rid, lo, hi) for lo, hi in ((0.0, 1.0), (0.5, 3.25))])
+    return out
+
+
+@pytest.mark.parametrize(
+    "fx",
+    acceptance_fixtures()
+    + [ladder_fixture(2), ladder_fixture(3), rotary_fixture(), jittered_ladder_fixture(9, 3)],
+    ids=lambda fx: fx.name,
+)
+def test_loading_matches_loop_reference_bits(fx, monkeypatch):
+    # the rotary takes the frontier path, the others the one-pass path
+    got = _loaded_arrays(fx)
+    with monkeypatch.context() as m:
+        m.setattr(PiecewiseLinearMap, "compose_after", loop_reference.compose_after)
+        for module in (flows_module, arcs_module, network_module):
+            m.setattr(module, "sum_flows", loop_reference.sum_flows)
+        for module in (flows_module, arcs_module):
+            m.setattr(module, "pushforward", loop_reference.pushforward)
+        m.setattr(arcs_module, "_volume_exit_map", loop_reference._volume_exit_map)
+        m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
+        m.setattr(network_module, "flowing", loop_reference.flowing)
+        want = _loaded_arrays(fx)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
 
 # -- route times ------------------------------------------------------------------
 
