@@ -150,55 +150,52 @@ def _positive_part(v: np.ndarray) -> np.ndarray:
 
 def _point_queue_exits(arrivals: CumulativeFlow, capacity: float) -> CumulativeFlow:
     """Cumulative departures of a point queue served at a fixed capacity."""
-    ts, atoms, slopes = arrivals.times, arrivals.atoms, arrivals.slopes
-    n = ts.size
+    # Python floats throughout: on curves of tens of vertices the per-call
+    # cost of numpy scalars outweighs the arithmetic
+    ts, atoms, slopes = arrivals.times.tolist(), arrivals.atoms.tolist(), arrivals.slopes.tolist()
     tiny = 1e-12 * (1.0 + arrivals.total)
-    verts_t = [float(ts[0])]
+    verts_t = [ts[0]]
     verts_m = [0.0]
     served = 0.0
-    queue = float(atoms[0])
-
-    def emit(t: float, m: float):
-        if t > verts_t[-1]:
-            verts_t.append(t)
-            verts_m.append(m)
-        else:
-            verts_m[-1] = max(verts_m[-1], m)
-
-    for i in range(n):
-        lam = float(slopes[i])
-        if i + 1 == n:
-            break
-        seg_end = float(ts[i + 1])
-        tau = float(ts[i])
+    queue = atoms[0]
+    for i in range(len(ts) - 1):
+        lam = slopes[i]
+        seg_end = ts[i + 1]
+        tau = ts[i]
         while tau < seg_end:
             if queue <= tiny and lam <= capacity:
                 served += lam * (seg_end - tau)
                 queue = 0.0
                 tau = seg_end
-                emit(tau, served)
             elif queue > tiny and lam < capacity:
                 t_clear = tau + queue / (capacity - lam)
                 if t_clear < seg_end:
                     served += capacity * (t_clear - tau)
                     queue = 0.0
                     tau = t_clear
-                    emit(tau, served)
                 else:
                     served += capacity * (seg_end - tau)
                     queue += (lam - capacity) * (seg_end - tau)
                     tau = seg_end
-                    emit(tau, served)
             else:
                 served += capacity * (seg_end - tau)
                 queue += (lam - capacity) * (seg_end - tau)
                 tau = seg_end
-                emit(tau, served)
-        queue = max(0.0, queue) + float(atoms[i + 1])
+            # a vertex at (tau, served), merged into the last one at equal time
+            if tau > verts_t[-1]:
+                verts_t.append(tau)
+                verts_m.append(served)
+            elif served > verts_m[-1]:
+                verts_m[-1] = served
+        queue = max(0.0, queue) + atoms[i + 1]
     if queue > tiny:
-        t_end = float(ts[-1]) + queue / capacity
+        t_end = ts[-1] + queue / capacity
         served += queue
-        emit(t_end, served)
+        if t_end > verts_t[-1]:
+            verts_t.append(t_end)
+            verts_m.append(served)
+        elif served > verts_m[-1]:
+            verts_m[-1] = served
     return CumulativeFlow.from_cumulative_points(np.array(verts_t), np.array(verts_m))
 
 

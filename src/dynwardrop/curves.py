@@ -34,7 +34,7 @@ class PiecewiseLinearMap:
         ys = np.asarray(self.ys, dtype=float)
         if xs.size == 0 or xs.size != ys.size:
             raise ValueError("map needs matching, nonempty vertex arrays")
-        if np.any(np.diff(xs) < 0):
+        if (xs[1:] - xs[:-1] < 0).any():
             raise ValueError("vertex abscissae must be nondecreasing")
         object.__setattr__(self, "xs", _freeze(xs))
         object.__setattr__(self, "ys", _freeze(ys))
@@ -93,7 +93,7 @@ class PiecewiseLinearMap:
         """
         xs, ys = self.xs, self.ys
         last = xs.size - 1
-        k = np.clip(i, 0, last)
+        k = np.minimum(np.maximum(i, 0), last)
         k1 = np.minimum(k + 1, last)
         dx = xs[k1] - xs[k]
         # every branch is computed everywhere; the discarded ones may divide

@@ -17,6 +17,7 @@ normalized to [0, 1].
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,6 +27,8 @@ from .arcs import _positive_part
 from .errors import DegenerateDemand, NoRoute, ValidationError
 from .flows import CumulativeFlow, Horizon, sum_flows
 from .network import Network, RouteFlowPattern, TravelTimePattern, load, route_times
+
+logger = logging.getLogger(__name__)
 
 OD = tuple[str, str]
 
@@ -350,6 +353,7 @@ def _class_utilities(
     """
     bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
+    widths = edges[1:] - edges[:-1]
     out = np.empty((len(rset), bins))
     for k, rid in enumerate(rset):
         arr = times.arrivals[rid]
@@ -358,12 +362,11 @@ def _class_utilities(
         pts = np.unique(np.concatenate([edges, inner[(inner > lo) & (inner < hi)]]))
         u_a = _utilities(cls, arr.values(pts[:-1]), pts[:-1])
         u_b = _utilities(cls, arr.left_values(pts[1:]), pts[1:])
-        pieces = 0.5 * (u_a + u_b) * np.diff(pts)
-        # np.add.at adds each bin's pieces one at a time, left to right, so a
-        # bin's sum rounds exactly as a running total over its pieces would
-        totals = np.zeros(bins)
-        np.add.at(totals, np.searchsorted(edges, pts[:-1], side="right") - 1, pieces)
-        out[k] = totals / np.diff(edges)
+        pieces = 0.5 * (u_a + u_b) * (pts[1:] - pts[:-1])
+        # bincount adds each bin's pieces one at a time, left to right, from
+        # 0.0, so a bin's sum rounds exactly as a running total would
+        bin_of = np.searchsorted(edges, pts[:-1], side="right") - 1
+        out[k] = np.bincount(bin_of, pieces, bins) / widths
     return out
 
 
@@ -390,7 +393,6 @@ def solve_departure_choice(
         raise ValidationError("need at least one user class")
     bins = config.bins_for(horizon)
     edges = np.linspace(0.0, horizon.end, bins + 1)
-    widths = np.diff(edges)
     rsets = []
     for cls in classes:
         rset = network.routes_between(*cls.od)
@@ -399,11 +401,8 @@ def solve_departure_choice(
         rsets.append(rset)
         reach = min(network.arcs[a].model.t_min for r in rset for a in network.routes[r])
         if cls.chooses_departure and cls.h_star > horizon.end + reach:
-            import warnings
-
-            warnings.warn(
-                f"preferred arrival {cls.h_star} may be unreachable inside the horizon",
-                stacklevel=2,
+            logger.warning(
+                "preferred arrival %s may be unreachable inside the horizon", cls.h_star
             )
 
     # splits[c]: probability over (route, bin); fixed-departure classes hold
@@ -421,28 +420,15 @@ def solve_departure_choice(
             splits.append(np.full((len(rset), bins), 1.0 / len(rset)))
             fixed_bin_mass.append(bm)
 
-    def flows_from_splits() -> RouteFlowPattern:
-        flows: RouteFlowPattern = {r: CumulativeFlow.zero() for r in network.routes}
-        for cls, rset, split, bm in zip(classes, rsets, splits, fixed_bin_mass):
-            for k, rid in enumerate(rset):
-                segs = []
-                for b in range(bins):
-                    m = (
-                        cls.mass * split[k, b]
-                        if bm is None
-                        else bm[b] * split[k, b]
-                    )
-                    if m > 0:
-                        segs.append((float(edges[b]), float(edges[b + 1]), m / widths[b]))
-                if segs:
-                    flows[rid] = sum_flows([flows[rid], CumulativeFlow.piecewise_rate(segs)])
-        return flows
-
     best: EquilibriumState | None = None
     trace: list[tuple[int, float]] = []
     worst_margin = 0.0
     for it in range(1, config.max_iters + 1):
-        flows = flows_from_splits()
+        flows: RouteFlowPattern = {r: CumulativeFlow.zero() for r in network.routes}
+        for cls, rset, split, bm in zip(classes, rsets, splits, fixed_bin_mass):
+            masses = cls.mass * split if bm is None else bm * split
+            for rid, row in zip(rset, masses):
+                flows[rid] = sum_flows([flows[rid], CumulativeFlow.from_bins(edges, row)])
         total_mass = sum(f.total for f in flows.values())
         worst_margin = max(
             worst_margin,
@@ -459,10 +445,10 @@ def solve_departure_choice(
             u = _class_utilities(cls, rset, times, edges)
             if cls.chooses_departure:
                 best_u = float(u.max())
-                achieved = float(np.sum(split * u))
+                achieved = float((split * u).sum())
                 regret_mass += cls.mass * (best_u - achieved)
                 norm += cls.mass * abs(best_u)
-                z = np.clip((u - best_u) / temperature, -700.0, 0.0)
+                z = np.minimum(np.maximum((u - best_u) / temperature, -700.0), 0.0)
                 target = np.exp(z)
                 target /= target.sum()
                 targets.append(target)

@@ -122,6 +122,29 @@ class CumulativeFlow:
         return _build(times, cums, atoms, slopes)
 
     @staticmethod
+    def from_bins(edges: np.ndarray, masses: np.ndarray) -> "CumulativeFlow":
+        """Absolutely continuous flow spreading each ``masses[b]`` evenly over
+        ``[edges[b], edges[b + 1])``.
+
+        A bin without mass adds 0.0 to the cumulative curve, and its
+        vertices, which change no slope, are dropped.
+
+        Raises:
+            ValueError: a mass is negative, or the edges do not increase.
+        """
+        edges = np.asarray(edges, dtype=float)
+        masses = np.asarray(masses, dtype=float)
+        if (masses < 0).any():
+            raise ValueError("bin masses must be nonnegative")
+        widths = edges[1:] - edges[:-1]
+        if (widths <= 0).any():
+            raise ValueError("bin edges must be strictly increasing")
+        rates = masses / widths
+        cums = np.zeros(edges.size)
+        np.cumsum(rates * widths, out=cums[1:])
+        return _build(edges, cums, np.zeros(edges.size), np.append(rates, 0.0))
+
+    @staticmethod
     def from_cumulative_points(times: Sequence[float], values: Sequence[float]) -> "CumulativeFlow":
         """Continuous flow interpolating the given nondecreasing cumulative samples."""
         t = np.asarray(times, dtype=float)
@@ -130,7 +153,7 @@ class CumulativeFlow:
             raise ValueError("times and values must have equal length")
         if t.size == 0 or v[-1] == 0:
             return CumulativeFlow.zero()
-        if np.any(np.diff(v) < 0):
+        if (v[1:] - v[:-1] < 0).any():
             raise ValueError("cumulative values must be nondecreasing")
         v = v - v[0]
         return CumulativeFlow.from_vertices(t, v, v)
@@ -158,8 +181,8 @@ class CumulativeFlow:
         t = np.asarray(times, dtype=float)
         lo = np.asarray(lefts, dtype=float)
         hi = np.asarray(values, dtype=float)
-        dt = np.diff(t)
-        if np.any(dt <= 0):
+        dt = t[1:] - t[:-1]
+        if (dt <= 0).any():
             raise ValueError("breakpoint times must be strictly increasing")
         slopes = np.zeros_like(t)
         slopes[:-1] = np.maximum(lo[1:] - hi[:-1], 0.0) / dt
@@ -345,12 +368,13 @@ def _build(times, cums, atoms, slopes) -> CumulativeFlow:
     cums = np.asarray(cums, dtype=float)
     atoms = np.asarray(atoms, dtype=float)
     slopes = np.asarray(slopes, dtype=float)
-    n = times.size
-    if n == 0:
+    if times.size == 0:
         return CumulativeFlow.zero()
-    if np.any(np.diff(times) <= 0):
+    # differences, as np.diff takes them: a repeated infinity gives nan and
+    # is not rejected
+    if (times[1:] - times[:-1] <= 0).any():
         raise ValueError("breakpoint times must be strictly increasing")
-    if np.any(np.diff(cums) < 0) or np.any(atoms < 0) or np.any(slopes < 0):
+    if (cums[1:] - cums[:-1] < 0).any() or (atoms < 0).any() or (slopes < 0).any():
         raise ValueError("cumulative curve must be nondecreasing")
     drift = cums[0] - atoms[0]
     if abs(drift) > MERGE_TOL * (1.0 + abs(cums[-1])):
@@ -361,13 +385,15 @@ def _build(times, cums, atoms, slopes) -> CumulativeFlow:
         atoms[0] = cums[0]
     if slopes[-1] != 0.0:
         raise ValueError("curve must be constant after its last breakpoint")
-    prev_slopes = np.concatenate([[0.0], slopes[:-1]])
-    keep = (atoms > 0) | (slopes != prev_slopes)
-    if not np.any(keep) or cums[-1] == 0.0:
-        return CumulativeFlow.zero()
     # A vertex is redundant when it carries no atom and no slope change; its
     # removal leaves every evaluation untouched.
-    times, cums, atoms, slopes = (a[keep] for a in (times, cums, atoms, slopes))
+    keep = atoms > 0
+    keep[0] |= slopes[0] != 0.0
+    keep[1:] |= slopes[1:] != slopes[:-1]
+    if cums[-1] == 0.0 or not keep.any():
+        return CumulativeFlow.zero()
+    # the fancy index also copies: the flow freezes its arrays in place
+    times, cums, atoms, slopes = times[keep], cums[keep], atoms[keep], slopes[keep]
     return CumulativeFlow(times, cums, atoms, slopes)
 
 

@@ -242,7 +242,8 @@ def load(
 def _load_in_order(
     network: Network, x: RouteFlowPattern, order: tuple[str, ...]
 ) -> ArcFlowBundle:
-    """One ``flowing`` call per arc, upstream arcs first."""
+    """Each arc served once, upstream arcs first: one ``flowing`` call where
+    some route goes on, the total's exit profile alone where all routes end."""
     crossings = network.crossings
     inflows = {aid: dict.fromkeys(routes) for aid, routes in crossings.items()}
     for rid, arc_ids in network.routes.items():
@@ -250,7 +251,13 @@ def _load_in_order(
     totals = dict.fromkeys(network.arcs)
     profiles = dict.fromkeys(network.arcs)
     for aid in order:
-        outflows, profiles[aid], totals[aid] = flowing(network.arcs[aid].model, inflows[aid])
+        model = network.arcs[aid].model
+        if all(nxt is None for nxt in crossings[aid].values()):
+            # nothing reads a per-route split of the outflow here
+            totals[aid] = sum_flows(list(inflows[aid].values()))
+            profiles[aid] = model.exit_profile(totals[aid])
+            continue
+        outflows, profiles[aid], totals[aid] = flowing(model, inflows[aid])
         for rid, nxt in crossings[aid].items():
             if nxt is not None:
                 inflows[nxt][rid] = outflows[rid]

@@ -181,15 +181,8 @@ def oracle_equilibrium(
     def flows_from_shares() -> RouteFlowPattern:
         pattern: RouteFlowPattern = {r: CumulativeFlow.zero() for r in network.routes}
         for od in ods:
-            for k, rid in enumerate(route_sets[od]):
-                segs = []
-                for b in range(bins):
-                    m = share[od][k, b] * bin_mass[od][b]
-                    if m > 0:
-                        w = edges[b + 1] - edges[b]
-                        segs.append((float(edges[b]), float(edges[b + 1]), m / w))
-                if segs:
-                    pattern[rid] = CumulativeFlow.piecewise_rate(segs)
+            for rid, row in zip(route_sets[od], share[od]):
+                pattern[rid] = CumulativeFlow.from_bins(edges, row * bin_mass[od])
         return pattern
 
     for it in range(iterations):

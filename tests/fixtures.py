@@ -8,7 +8,7 @@ admissible inputs (the released mass would overtake).
 Two more families stress the loader's two paths: short ladders, where four
 routes share parallel bottleneck and volume-delay arcs stage after stage
 (acyclic precedence), and a rotary, whose routes order its three arcs in a
-cycle.  Jittered ladders perturb every parameter in the last digits, where
+cycle.  On a spur, one route ends on an arc that another one goes on from.  Jittered ladders perturb every parameter in the last digits, where
 computed curve vertices meet rounding noise.
 """
 
@@ -288,3 +288,20 @@ def rotary_fixture() -> Fixture:
         "rca": CumulativeFlow.constant_rate(0.5, 1.5, 1.2),
     }
     return Fixture("rotary", network, flows, Horizon(4.0))
+
+
+def spur_fixture() -> Fixture:
+    """Arc a X -> Y, then b Y -> Z; route "short" ends on a, route "long" goes
+    on to b, so a's outflow is split per route and b's is not."""
+    network = Network(
+        {
+            "a": Arc("X", "Y", BottleneckModel(0.5, 1.0)),
+            "b": Arc("Y", "Z", ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))),
+        },
+        {"short": ("a",), "long": ("a", "b")},
+    )
+    flows = {
+        "short": sum_flows([CumulativeFlow.constant_rate(0.0, 1.0, 1.5), CumulativeFlow.atom_at(0.5, 0.4)]),
+        "long": CumulativeFlow.piecewise_rate([(0.25, 1.5, 1.0), (2.0, 2.5, 0.6)]),
+    }
+    return Fixture("spur", network, flows, Horizon(4.0))

@@ -5,8 +5,10 @@ was: one scalar ``value``/``left_value`` call per point and Python-level
 accumulation.  The tests assert that the batched paths return the same bits.
 A loop copy carries the name of the code it replaced, so ``flowing`` here
 runs on the loop copies of ``sum_flows``, ``_route_share`` and
-``_mass_preimage``; ``compose_after`` takes the map as its first argument, as
-the method does.
+``_mass_preimage``, every copy that builds a flow runs on the copy of
+``_build``, and ``bottleneck_exit_profile`` on the copy of
+``_point_queue_exits``; ``compose_after`` takes the map as its first argument,
+as the method does.
 """
 
 from __future__ import annotations
@@ -15,12 +17,58 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dynwardrop.arcs import ArcModel, ExitProfile, _point_queue_exits
+from dynwardrop.arcs import ArcModel, ExitProfile
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.equilibrium import UserClass
 from dynwardrop.errors import FifoViolation
-from dynwardrop.flows import MERGE_TOL, CumulativeFlow, _build
+from dynwardrop.flows import MERGE_TOL, CumulativeFlow
 from dynwardrop.network import TravelTimePattern
+
+
+def _build(times, cums, atoms, slopes) -> CumulativeFlow:
+    """``flows._build`` with ``np.diff`` checks and a concatenated keep mask."""
+    times = np.asarray(times, dtype=float)
+    cums = np.asarray(cums, dtype=float)
+    atoms = np.asarray(atoms, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    n = times.size
+    if n == 0:
+        return CumulativeFlow.zero()
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("breakpoint times must be strictly increasing")
+    if np.any(np.diff(cums) < 0) or np.any(atoms < 0) or np.any(slopes < 0):
+        raise ValueError("cumulative curve must be nondecreasing")
+    drift = cums[0] - atoms[0]
+    if abs(drift) > MERGE_TOL * (1.0 + abs(cums[-1])):
+        raise ValueError("curve must start from zero mass")
+    if drift != 0.0:
+        # sub-tolerance residue from merged evaluations; fold it into the vertex
+        atoms = atoms.copy()
+        atoms[0] = cums[0]
+    if slopes[-1] != 0.0:
+        raise ValueError("curve must be constant after its last breakpoint")
+    prev_slopes = np.concatenate([[0.0], slopes[:-1]])
+    keep = (atoms > 0) | (slopes != prev_slopes)
+    if not np.any(keep) or cums[-1] == 0.0:
+        return CumulativeFlow.zero()
+    # A vertex is redundant when it carries no atom and no slope change; its
+    # removal leaves every evaluation untouched.
+    times, cums, atoms, slopes = (a[keep] for a in (times, cums, atoms, slopes))
+    return CumulativeFlow(times, cums, atoms, slopes)
+
+
+def from_bins(edges: np.ndarray, masses: np.ndarray) -> CumulativeFlow:
+    """``CumulativeFlow.from_bins`` as one (start, end, rate) segment per bin
+    with positive mass, through ``piecewise_rate``: the departure solver's
+    ``flows_from_splits`` and the oracle's ``flows_from_shares`` for one
+    route.  A negative mass is skipped like a zero one."""
+    widths = np.diff(edges)
+    segs = []
+    for b in range(masses.size):
+        m = masses[b]
+        if m > 0:
+            segs.append((float(edges[b]), float(edges[b + 1]), m / widths[b]))
+    return piecewise_rate(segs) if segs else CumulativeFlow.zero()
 
 
 def piecewise_rate(segments: Iterable[tuple[float, float, float]]) -> CumulativeFlow:
@@ -69,6 +117,60 @@ def bottleneck_exit_profile(model, inflow: CumulativeFlow) -> ExitProfile:
             ys.append(float(y_right))
     curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
     return ExitProfile(curve, exits)
+
+
+def _point_queue_exits(arrivals: CumulativeFlow, capacity: float) -> CumulativeFlow:
+    """``arcs._point_queue_exits`` on numpy scalars, with an ``emit`` closure."""
+    ts, atoms, slopes = arrivals.times, arrivals.atoms, arrivals.slopes
+    n = ts.size
+    tiny = 1e-12 * (1.0 + arrivals.total)
+    verts_t = [float(ts[0])]
+    verts_m = [0.0]
+    served = 0.0
+    queue = float(atoms[0])
+
+    def emit(t: float, m: float):
+        if t > verts_t[-1]:
+            verts_t.append(t)
+            verts_m.append(m)
+        else:
+            verts_m[-1] = max(verts_m[-1], m)
+
+    for i in range(n):
+        lam = float(slopes[i])
+        if i + 1 == n:
+            break
+        seg_end = float(ts[i + 1])
+        tau = float(ts[i])
+        while tau < seg_end:
+            if queue <= tiny and lam <= capacity:
+                served += lam * (seg_end - tau)
+                queue = 0.0
+                tau = seg_end
+                emit(tau, served)
+            elif queue > tiny and lam < capacity:
+                t_clear = tau + queue / (capacity - lam)
+                if t_clear < seg_end:
+                    served += capacity * (t_clear - tau)
+                    queue = 0.0
+                    tau = t_clear
+                    emit(tau, served)
+                else:
+                    served += capacity * (seg_end - tau)
+                    queue += (lam - capacity) * (seg_end - tau)
+                    tau = seg_end
+                    emit(tau, served)
+            else:
+                served += capacity * (seg_end - tau)
+                queue += (lam - capacity) * (seg_end - tau)
+                tau = seg_end
+                emit(tau, served)
+        queue = max(0.0, queue) + float(atoms[i + 1])
+    if queue > tiny:
+        t_end = float(ts[-1]) + queue / capacity
+        served += queue
+        emit(t_end, served)
+    return CumulativeFlow.from_cumulative_points(np.array(verts_t), np.array(verts_m))
 
 
 def class_utilities(

@@ -230,6 +230,23 @@ def test_class_validation():
         UserClass("A", "B", mass=1.0, alpha=0.0)
 
 
+def test_unreachable_preferred_arrival_is_logged(caplog):
+    net = parallel({"srv": BottleneckModel(0.1, 1.0)})
+    # h_star beyond the horizon end plus the route's free-flow time
+    cls = UserClass("A", "B", mass=1.0, h_star=4.5, alpha=1.0, beta=0.5, gamma=2.0)
+    config = SolverConfig(bin_width=0.25, max_iters=2)
+    with caplog.at_level("WARNING", logger="dynwardrop.equilibrium"):
+        solve_departure_choice(net, [cls], config, H4)
+    [record] = caplog.records
+    assert record.name == "dynwardrop.equilibrium" and record.levelname == "WARNING"
+    assert "preferred arrival 4.5 may be unreachable" in record.getMessage()
+    caplog.clear()
+    reachable = UserClass("A", "B", mass=1.0, h_star=4.05, alpha=1.0, beta=0.5, gamma=2.0)
+    with caplog.at_level("WARNING", logger="dynwardrop.equilibrium"):
+        solve_departure_choice(net, [reachable], config, H4)
+    assert not caplog.records
+
+
 # -- batched departure-choice path against its loop version ----------------------
 
 @st.composite
@@ -295,7 +312,7 @@ def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(equilibrium, "_class_utilities", loop_reference.class_utilities)
         m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
-        m.setattr(CumulativeFlow, "piecewise_rate", staticmethod(loop_reference.piecewise_rate))
+        m.setattr(CumulativeFlow, "from_bins", staticmethod(loop_reference.from_bins))
         want = solve_departure_choice(*instance())
     assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])
     assert got.flows.keys() == want.flows.keys()

@@ -4,18 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynwardrop import arcs
-from dynwardrop.arcs import ArcPerformanceModel
+from dynwardrop.arcs import ArcPerformanceModel, _point_queue_exits
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.errors import FifoViolation
-from dynwardrop.flows import CumulativeFlow, sum_flows, pushforward
+from dynwardrop.flows import CumulativeFlow, _build, sum_flows, pushforward
 
 import loop_reference
 from helpers import curve_linf, outcome, same_bits, same_flow_bits, same_outcome
 from strategies import (
-    bottlenecks_st, clustered_parts_st, flows_st, maps_st, probe_points, probe_st,
+    bottlenecks_st, clustered_parts_st, flows_st, maps_st, mass_st, probe_points, probe_st,
     rate_st, times_st, y_st,
 )
 
@@ -293,6 +293,49 @@ def test_piecewise_rate_matches_loop_reference_bits(segs):
     )
 
 
+#: bin masses; the repeated values give runs of equal rates and of empty bins,
+#: and the tiny ones rates that round to 0 or to a subnormal
+bin_mass_st = st.sampled_from([0.0, 0.0, 0.25, 1.0, 5e-324, 1e-300]) | st.floats(
+    min_value=0.0, max_value=3.0
+)
+
+
+@st.composite
+def bin_inputs_st(draw):
+    """Bin edges, uniform as the solvers use or irregular, and one mass per bin."""
+    bins = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        edges = np.linspace(0.0, draw(st.sampled_from([1.0, 4.0, 12.5])), bins + 1)
+    else:
+        widths = draw(st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=bins, max_size=bins))
+        edges = np.cumsum([draw(st.floats(min_value=0.0, max_value=3.0)), *widths])
+    masses = np.array(draw(st.lists(bin_mass_st, min_size=bins, max_size=bins)))
+    return edges, masses
+
+
+@given(bin_inputs_st())
+@example((np.linspace(0.0, 4.0, 6), np.array([0.0, 0.0, 1.0, 2.0, 0.5])))
+@example((np.linspace(0.0, 4.0, 6), np.array([1.0, 0.0, 0.0, 2.0, 2.0])))
+@example((np.linspace(0.0, 4.0, 6), np.array([1.0, 0.25, 2.0, 0.0, 0.0])))
+@example((np.linspace(0.0, 4.0, 6), np.zeros(5)))
+@settings(max_examples=300, deadline=None)
+def test_from_bins_matches_loop_reference_bits(inputs):
+    # empty bins at the start, in the middle and at the end, and no mass at all
+    edges, masses = inputs
+    before = edges.copy()
+    assert same_flow_bits(
+        CumulativeFlow.from_bins(edges, masses), loop_reference.from_bins(edges, masses)
+    )
+    assert edges.flags.writeable and same_bits(edges, before)
+
+
+def test_from_bins_rejects_negative_mass_and_repeated_edges():
+    with pytest.raises(ValueError, match="masses must be nonnegative"):
+        CumulativeFlow.from_bins(np.linspace(0.0, 4.0, 5), np.array([1.0, -1e-3, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="edges must be strictly increasing"):
+        CumulativeFlow.from_bins(np.array([0.0, 1.0, 1.0, 2.0]), np.ones(3))
+
+
 @given(flows_st(), bottlenecks_st)
 @settings(max_examples=200, deadline=None)
 def test_bottleneck_exit_profile_matches_loop_reference_bits(f, model):
@@ -301,6 +344,90 @@ def test_bottleneck_exit_profile_matches_loop_reference_bits(f, model):
     assert same_bits(got.curve.xs, want.curve.xs)
     assert same_bits(got.curve.ys, want.curve.ys)
     assert same_flow_bits(got.outflow, want.outflow)
+
+
+#: vertex values that repeat, so slopes stay equal and curves flat; the
+#: negative and tiny ones make rejected inputs and sub-tolerance residues
+vertex_value_st = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, -1.0, 1e-12, 5e-9]) | st.floats(
+    min_value=-1.0, max_value=5.0
+)
+
+
+@st.composite
+def build_inputs_st(draw):
+    """Vertex arrays for ``_build``: curves it accepts, with vertices that
+    change no slope, zero atoms and a drift at vertex 0 below or above the
+    tolerance, and arrays it rejects, where one of the four is arbitrary."""
+    n = draw(st.integers(min_value=0, max_value=6))
+
+    def row():
+        return np.array(draw(st.lists(vertex_value_st, min_size=n, max_size=n)), dtype=float)
+
+    times = np.cumsum(np.abs(row()) + draw(st.sampled_from([0.0, 0.25])))
+    atoms = np.abs(row()) * draw(st.sampled_from([0.0, 1.0]))
+    slopes = np.abs(row())
+    if n and draw(st.booleans()):
+        slopes[-1] = 0.0
+    cums = np.cumsum(atoms + np.append(0.0, slopes[:-1] * np.diff(times))[:n])
+    if n:
+        cums[0] += draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6]))
+    arrays = [times, cums, atoms, slopes]
+    if draw(st.booleans()):
+        arrays[draw(st.integers(min_value=0, max_value=3))] = row()
+    return arrays
+
+
+@given(build_inputs_st())
+@example([np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(3), np.zeros(3)])
+@example([np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]), np.zeros(3), np.array([1.0, 1.0, 0.0])])
+@example([np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.zeros(3), np.array([1.0, 1.0, 0.0])])
+@example([np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.array([1.0, 0.0]), np.zeros(2)])
+@example([np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 1.0])])
+@example([np.array([0.0, 1.0]), np.array([1e-6, 1.0]), np.zeros(2), np.array([1.0, 0.0])])
+@settings(max_examples=400, deadline=None)
+def test_build_matches_loop_reference_bits(arrays):
+    # both versions keep the same vertices or raise the same error
+    got = outcome(_build, *arrays)
+    assert same_outcome(got, outcome(loop_reference._build, *[a.copy() for a in arrays]), same_flow_bits)
+    # the caller's arrays are neither frozen nor shared by the built flow
+    assert all(a.flags.writeable for a in arrays)
+    if got[0] == "ok":
+        f = got[1]
+        assert not any(
+            np.shares_memory(getattr(f, name), a)
+            for name in ("times", "cums", "atoms", "slopes") for a in arrays
+        )
+
+
+@st.composite
+def arrivals_st(draw):
+    """Arrival curves whose rates often equal a capacity drawn below, with
+    atoms, and with vertices at least 1e-3 apart, so that building them
+    merges nothing."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    gaps = st.sampled_from([0.5, 1.0]) | st.floats(min_value=1e-3, max_value=5.0)
+    t = np.cumsum([draw(st.sampled_from([0.0, 0.5]) | times_st),
+                   *draw(st.lists(gaps, min_size=n - 1, max_size=n - 1))])
+    rates = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | rate_st, min_size=n - 1, max_size=n - 1))
+    atoms = draw(st.lists(st.just(0.0) | mass_st, min_size=n, max_size=n))
+    lefts, values = [0.0], [atoms[0]]
+    for i in range(1, n):
+        lefts.append(values[-1] + rates[i - 1] * (t[i] - t[i - 1]))
+        values.append(lefts[-1] + atoms[i])
+    return CumulativeFlow.from_vertices(t, lefts, values)
+
+
+@given(arrivals_st(), st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=0.1, max_value=3.0))
+@settings(max_examples=400, deadline=None)
+def test_point_queue_exits_matches_loop_reference_bits(arrivals, capacity):
+    # rates equal to the capacity, queues that clear inside a segment or
+    # carry over, and atoms joining a queue
+    assume(not arrivals.is_zero)
+    assert same_outcome(
+        outcome(_point_queue_exits, arrivals, capacity),
+        outcome(loop_reference._point_queue_exits, arrivals, capacity),
+        same_flow_bits,
+    )
 
 
 # -- batched loading kernels against their loop versions --------------------------

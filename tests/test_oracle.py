@@ -122,3 +122,31 @@ def test_reference_solver_symmetric_pair_splits_evenly():
         m1 = flows["r1"].mass_between(float(a), float(b))
         m2 = flows["r2"].mass_between(float(a), float(b))
         assert abs(m1 - m2) < 1e-3
+
+
+def test_reference_solver_matches_loop_reference_bits(monkeypatch):
+    from dynwardrop.equilibrium import DemandTable
+    from dynwardrop.oracle import oracle_equilibrium
+
+    import loop_reference
+    from helpers import same_flow_bits
+
+    net = Network(
+        arcs={
+            "p1": Arc("A", "B", ArcPerformanceModel.affine(1.0, 0.5)),
+            "p2": Arc("A", "B", BottleneckModel(0.5, 1.0)),
+        },
+        routes={"r1": ("p1",), "r2": ("p2",)},
+    )
+    # demand leaves bins empty before, between and after its two pulses
+    demand = DemandTable(
+        {("A", "B"): CumulativeFlow.piecewise_rate([(0.5, 1.0, 2.0), (1.5, 2.0, 1.0)])},
+        Horizon(4.0),
+    )
+    grid = GridConfig(1.0 / 16.0)
+    got, got_gap = oracle_equilibrium(net, demand, grid, iterations=4, bins=16)
+    monkeypatch.setattr(CumulativeFlow, "from_bins", staticmethod(loop_reference.from_bins))
+    want, want_gap = oracle_equilibrium(net, demand, grid, iterations=4, bins=16)
+    assert got_gap == want_gap
+    assert got.keys() == want.keys()
+    assert all(same_flow_bits(got[r], want[r]) for r in want)
