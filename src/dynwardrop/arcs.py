@@ -4,11 +4,12 @@ Three concrete models are provided.
 
 * ``ConstantModel``: a fixed traversal time, independent of the inflow.
 * ``ArcPerformanceModel``: traversal time is a strictly increasing function of
-  the volume currently on the arc.  Exit times are obtained by propagating the
-  inflow forward in blocks whose length equals the empty-arc delay: inside a
-  block, every exit stems from entries in earlier blocks, so the on-arc volume
-  is already determined.  All curves stay piecewise linear, so the construction
-  is exact (no time grid).
+  the volume currently on the arc.  Exit times come from one sweep over entry
+  time: every exit at time h stems from an entry before h minus the empty-arc
+  delay, so the on-arc volume at h is known when the sweep reaches h.  The
+  sweep steps from event to event (inflow vertices, kinks of the cumulative
+  exits, crossings of the delay function's breakpoints), and between events
+  all curves are linear, so the construction is exact (no time grid).
 * ``BottleneckModel``: a free-flow time followed by a server of finite
   capacity; a point queue forms whenever arrivals outrun the capacity.  The
   exit curve is built from the exact cumulative arrival/departure balance.
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
-from .errors import ModelParameterError, NonTermination
-from .flows import CumulativeFlow, Horizon, pushforward, sum_flows
+from .curves import ExitTimeCurve, PiecewiseLinearMap
+from .errors import FifoViolation, ModelParameterError, NonTermination
+from .flows import MERGE_TOL, CumulativeFlow, Horizon, pushforward, sum_flows
 
 
 @dataclass(frozen=True)
@@ -260,64 +262,202 @@ class ArcPerformanceModel(ArcModel):
 
     def exit_profile(self, inflow: CumulativeFlow) -> ExitProfile:
         d_min = self.t_min
-        dmap = self._delay_map()
         if inflow.is_zero:
             return ExitProfile(ExitTimeCurve.shift(d_min), CumulativeFlow.zero())
-        h0 = float(inflow.times[0])
-        h_last = float(inflow.times[-1])
-        total = inflow.total
-        tiny = 1e-12 * (1.0 + total)
-        budget = math.ceil((h_last - h0 + 2.0 * self.t_max(total) + 5.0 * d_min) / d_min) + 3
-
-        exits = CumulativeFlow.zero()
-        frontier = h0 + d_min
-        for _ in range(budget):
-            curve = _volume_exit_map(inflow, exits, dmap, h0, frontier)
-            if frontier >= h_last and exits.value(frontier) >= total - tiny:
-                return ExitProfile(curve, pushforward(inflow, curve))
-            exits = pushforward(inflow.restrict(frontier), curve)
-            frontier += d_min
-        raise NonTermination(
-            "volume-delay propagation did not drain; check the delay function"
-        )
+        # every user has left by h_last + t_max(total); twice that, with room
+        # for rounding, bounds the sweep
+        h_limit = float(inflow.times[-1]) + 2.0 * self.t_max(inflow.total) + 8.0 * d_min
+        xs, ys = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
+        curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+        return ExitProfile(curve, pushforward(inflow, curve))
 
 
-def _volume_exit_map(
-    inflow: CumulativeFlow,
-    exits: CumulativeFlow,
-    dmap: PiecewiseLinearMap,
-    h0: float,
-    frontier: float,
-) -> ExitTimeCurve:
-    """Exit map h -> h + delay(volume on arc at h), exact on [h0, frontier]."""
-    ts = np.concatenate([[h0, frontier], inflow.times, exits.times])
-    base = sorted_set(ts[(ts >= h0) & (ts <= frontier)])
+def _volume_exit_sweep(
+    inflow: CumulativeFlow, dmap: PiecewiseLinearMap, h_limit: float
+) -> tuple[list[float], list[float]]:
+    """Vertices of the exit map h -> h + delay(volume on the arc at h).
 
-    def vol_right(x: np.ndarray) -> np.ndarray:
-        return _positive_part(inflow.values(x) - exits.values(x))
+    One sweep over entry time h.  The volume is A - E, inflow minus exits.
+    Every exit at time h stems from an entry before h - t_min, so the exits
+    up to h are known when the sweep reaches h.  Between events A and E are
+    linear, and so is the map.  The events are the inflow's vertices, the
+    vertices of E found so far, and the instants where the volume crosses a
+    breakpoint of the delay function.  Each event h adds (h, y_left) to the
+    map and, where it jumps, (h, y_right); its entries' exits extend E by
+    ``pushforward``'s rule, except that a vertex of E that changes no mass
+    on either side moves on instead of staying as an event.  The sweep ends
+    once every inflow vertex is done and E holds the total; beyond, the map
+    extends with slope 1.
 
-    def vol_left(x: np.ndarray) -> np.ndarray:
-        return _positive_part(inflow.left_values(x) - exits.left_values(x))
+    FIFO is checked as ``pushforward`` checks it, against the exit front at
+    samples: the events, and the instants h0 + k * t_min before the inflow
+    ends, where the map is checked without adding a vertex.  The fixed point
+    over blocks of length t_min in ``tests/loop_reference.py`` checks the
+    same samples, so the two raise alike.
 
-    # refine with crossings of the delay function's volume breakpoints: the
-    # volume is linear from a to b, and the delay has only a few breakpoints
-    a, b = base[:-1, None], base[1:, None]
-    va, vb = vol_right(base[:-1])[:, None], vol_left(base[1:])[:, None]
-    lo, hi = np.minimum(va, vb), np.maximum(va, vb)
-    levels = dmap.xs[None, :]
-    with np.errstate(all="ignore"):
-        x = a + (levels - va) * (b - a) / (vb - va)
-    crossing = (hi > lo) & (lo < levels) & (levels < hi) & (a < x) & (x < b)
-    xs_in = sorted_set(np.concatenate([base, x[crossing]]))
+    Raises:
+        FifoViolation: positive mass is sent backwards or onto one instant.
+        NonTermination: the next event lies beyond ``h_limit``.
+    """
+    # Python floats throughout: the vertices number a few hundred, and the
+    # per-call cost of numpy would outweigh the arithmetic
+    ts, cums = inflow.times.tolist(), inflow.cums.tolist()
+    atoms, slopes = inflow.atoms.tolist(), inflow.slopes.tolist()
+    n, total, h_last = len(ts), cums[-1], ts[-1]
+    tiny = 1e-12 * (1.0 + total)
+    # the delay on [levels[k], levels[k + 1]) is delays[k] + (v - levels[k]) * rise[k] / run[k],
+    # as dmap.value reads it; the last piece extends with dmap's final slope
+    levels, delays = dmap.xs.tolist(), dmap.ys.tolist()
+    rise = [b - a for a, b in zip(delays, delays[1:])] + [dmap.hi_slope]
+    run = [b - a for a, b in zip(levels, levels[1:])] + [1.0]
+    d_min = delays[0]
 
-    yl = xs_in + dmap.values(vol_left(xs_in))
-    yr = xs_in + dmap.values(vol_right(xs_in))
-    # (x, yl) at every instant, then (x, yr) where the curve jumps
-    keep = np.ones(2 * xs_in.size, dtype=bool)
-    keep[1::2] = yr != yl
-    xs = np.repeat(xs_in, 2)[keep]
-    ys = np.column_stack([yl, yr]).ravel()[keep]
-    return ExitTimeCurve(xs, ys, 1.0, 1.0)
+    def delay(v: float) -> float:
+        """``dmap.value(v)`` for a volume v >= 0."""
+        k = bisect_right(levels, v) - 1
+        return delays[k] + (v - levels[k]) * rise[k] / run[k]
+
+    # E's vertices, grouped as pushforward groups them: at et[k] E rises from
+    # e_lo[k] to e_hi[k], and it is linear in between.  (lt, lm, lu) is
+    # pushforward's exit front: the latest exit sampled, its mass and its
+    # entry time.
+    h = ts[0]
+    lt, lm, lu = h + d_min, 0.0, h
+    et, e_lo, e_hi = [lt], [0.0], [0.0]
+    one_sample = True  # the last vertex of E holds a single sample
+
+    def refuse(tau: float, dm: float, u: float) -> None:
+        """Raise as pushforward does for mass dm > tiny exiting at tau <= lt."""
+        if tau < lt - MERGE_TOL:
+            raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
+        if u > lu:
+            raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")
+
+    def emit(tau: float, m: float, u: float) -> None:
+        """Pass the exit sample (tau, m), from entry time u, through
+        pushforward's FIFO filter and grouping."""
+        nonlocal lt, lm, lu, one_sample
+        if tau > lt:
+            if tau > et[-1] + MERGE_TOL:
+                if one_sample and m == lm and len(et) > 1 and e_hi[-2] == lm and et[-1] > h:
+                    # the last vertex changes no mass on either side, so it is
+                    # no kink of E; the sweep has not passed it, so it moves
+                    et[-1] = tau
+                else:
+                    et.append(tau)
+                    e_lo.append(m)
+                    e_hi.append(m)
+                    one_sample = True
+            else:
+                e_hi[-1] = m
+                one_sample = False
+            lt, lm, lu = tau, m, u
+            return
+        dm = m - lm
+        if dm <= tiny:
+            # monotone wobble or flat stretch over zero mass: keep the level
+            if m > lm:
+                lm, lu = m, u
+                e_hi[-1] = m
+                if one_sample:
+                    e_lo[-1] = m
+            return
+        refuse(tau, dm, u)
+        # atom of the inflow: vertical rise at one exit instant
+        lm, lu = m, u
+        e_hi[-1] = m
+        one_sample = False
+
+    def sample(y_left: float, y_right: float, a_left: float, a_right: float) -> None:
+        """The exit samples of entry instant h: left limit, flat stretch, atom."""
+        if h <= h_last:
+            emit(y_left, a_left, h)
+            if y_right > y_left:
+                emit(y_right, a_left, h)
+            if a_right > a_left:
+                emit(y_right, a_right, h)
+
+    def exits_at(t: float) -> float:
+        """E(t-), for t after the first q vertices of E, up to the next one."""
+        if q == len(et):
+            return e_hi[-1]
+        if et[q] == t:
+            return e_lo[q]
+        if q == 0:
+            return 0.0
+        d = e_lo[q] - e_hi[q - 1]
+        return e_hi[q - 1] + d / (et[q] - et[q - 1]) * (t - et[q - 1]) if d > 0.0 else e_hi[q - 1]
+
+    def check_until(x: float) -> None:
+        """Check FIFO at the instants h0 + k * t_min up to the event x, as
+        samples of the map's stretch from h that add no vertex."""
+        nonlocal check_at
+        while check_at <= x and check_at < h_last:
+            if check_at < x:
+                a = cums[i - 1] + rate * (check_at - ts[i - 1])
+                tau = check_at + delay(max(0.0, a - exits_at(check_at)))
+                if tau <= lt and a - lm > tiny:
+                    refuse(tau, a - lm, check_at)
+            check_at += d_min
+
+    xs: list[float] = []
+    ys: list[float] = []
+    i, q = 1, 0  # vertices of A and of E at or before h
+    a_left, a_right, e_left, e_right = 0.0, cums[0], 0.0, 0.0
+    check_at = h + d_min
+    while True:
+        rate = slopes[i - 1]
+        v_left = a_left - e_left if a_left > e_left else 0.0
+        y_left = h + delay(v_left)
+        v_right = a_right - e_right if a_right > e_right else 0.0
+        if v_right != v_left:
+            y_right = h + delay(v_right)
+            xs += (h, h)
+            ys += (y_left, y_right)
+        else:
+            y_right = y_left
+            xs.append(h)
+            ys.append(y_left)
+        sample(y_left, y_right, a_left, a_right)
+        if i == n and e_right >= total - tiny:
+            return xs, ys
+
+        # the next vertex of A or E, and the left limits there
+        t_a = ts[i] if i < n else math.inf
+        t_e = et[q] if q < len(et) else math.inf
+        nxt = t_a if t_a < t_e else t_e
+        if nxt > h_limit:
+            raise NonTermination("volume-delay propagation did not drain; check the delay function")
+        a_b = cums[i] - atoms[i] if t_a == nxt else cums[i - 1] + rate * (nxt - ts[i - 1])
+        e_b = exits_at(nxt)
+        vb = a_b - e_b if a_b > e_b else 0.0
+
+        # up to nxt the volume is linear: its crossings of the delay's
+        # breakpoints, in order, are events too
+        k, kb = bisect_right(levels, v_right) - 1, bisect_right(levels, vb) - 1
+        if kb != k:
+            start = h
+            for j in range(k + 1, kb + 1) if vb > v_right else range(k, kb, -1):
+                x = start + (levels[j] - v_right) * (nxt - start) / (vb - v_right)
+                if h < x < nxt:
+                    check_until(x)
+                    h, a = x, cums[i - 1] + rate * (x - ts[i - 1])
+                    xs.append(x)
+                    ys.append(x + delays[j])
+                    sample(x + delays[j], x + delays[j], a, a)
+        if check_at <= nxt:
+            check_until(nxt)
+
+        # step to nxt; a vertex of E there may have moved on since
+        h = nxt
+        a_left = a_right = a_b
+        if t_a == nxt:
+            a_right = cums[i]
+            i += 1
+        e_left = e_right = e_b
+        if q < len(et) and et[q] == nxt:
+            e_right = e_hi[q]
+            q += 1
 
 
 # -- conformance --------------------------------------------------------------

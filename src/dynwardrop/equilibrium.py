@@ -388,6 +388,8 @@ def solve_departure_choice(
 
     Raises:
         NoRoute: a class's od pair has no connecting route.
+        ValidationError: no class is given, or a fixed departure profile
+            carries mass at 0 or beyond the horizon, outside every bin.
     """
     if not classes:
         raise ValidationError("need at least one user class")
@@ -416,6 +418,11 @@ def solve_departure_choice(
         else:
             q = cls.departure_rate
             bm = np.array([q.mass_between(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])])
+            if abs(bm.sum() - q.total) > 1e-12 * (1.0 + q.total):
+                raise ValidationError(
+                    f"departure profile of class between {cls.od} carries mass outside "
+                    f"the departure bins ]0, {horizon.end}]"
+                )
             bm = bm * (cls.mass / bm.sum()) if bm.sum() > 0 else bm
             splits.append(np.full((len(rset), bins), 1.0 / len(rset)))
             fixed_bin_mass.append(bm)

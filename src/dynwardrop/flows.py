@@ -433,6 +433,10 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         cums += f.values(ends_a)
         i = np.searchsorted(f.times, mids, side="right") - 1
         slopes[:-1] += np.where(i < 0, 0.0, f.slopes[np.maximum(i, 0)])
+    # the curve starts from zero mass: its first vertex holds all the mass up
+    # to the end of its cluster as an atom, also where that cluster spans
+    # distinct instants and the parts carry mass inside it
+    atoms[0] = cums[0]
     return _build(reps_a, cums, atoms, slopes)
 
 

@@ -9,10 +9,16 @@ runs on the loop copies of ``sum_flows``, ``_route_share`` and
 ``_build``, and ``bottleneck_exit_profile`` on the copy of
 ``_point_queue_exits``; ``compose_after`` takes the map as its first argument,
 as the method does.
+
+``volume_delay_exit_profile`` is the block fixed point that the volume-delay
+sweep replaced, on the loop copies of its exit map and of ``pushforward``.
+It is an independent reference: the tests compare the sweep with it within
+a tolerance, not bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,7 +26,7 @@ import numpy as np
 from dynwardrop.arcs import ArcModel, ExitProfile
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.equilibrium import UserClass
-from dynwardrop.errors import FifoViolation
+from dynwardrop.errors import FifoViolation, NonTermination
 from dynwardrop.flows import MERGE_TOL, CumulativeFlow
 from dynwardrop.network import TravelTimePattern
 
@@ -363,6 +369,8 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         # left to right from 0.0; the builtin sum compensates from Python 3.12
         for f in parts:
             slopes[i] += f.slope_at(mid)
+    # the first vertex holds all the mass up to the end of its cluster
+    atoms[0] = cums[0]
     return _build(reps_a, cums, atoms, slopes)
 
 
@@ -453,7 +461,38 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     return CumulativeFlow.from_vertices(g_time, g_lo, g_hi)
 
 
-# loop copy of ``arcs._volume_exit_map``
+def volume_delay_exit_profile(model, inflow: CumulativeFlow) -> ExitProfile:
+    """``ArcPerformanceModel.exit_profile`` as a block fixed point.
+
+    Blocks have the length of the empty-arc delay: inside a block every exit
+    stems from an entry in an earlier block, so each block rebuilds the exit
+    map from the inflow's start with the exits known so far, and pushes the
+    whole inflow up to the block's end forward again.
+    """
+    d_min = model.t_min
+    dmap = model._delay_map()
+    if inflow.is_zero:
+        return ExitProfile(ExitTimeCurve.shift(d_min), CumulativeFlow.zero())
+    h0 = float(inflow.times[0])
+    h_last = float(inflow.times[-1])
+    total = inflow.total
+    tiny = 1e-12 * (1.0 + total)
+    budget = math.ceil((h_last - h0 + 2.0 * model.t_max(total) + 5.0 * d_min) / d_min) + 3
+
+    exits = CumulativeFlow.zero()
+    frontier = h0 + d_min
+    for _ in range(budget):
+        curve = _volume_exit_map(inflow, exits, dmap, h0, frontier)
+        if frontier >= h_last and exits.value(frontier) >= total - tiny:
+            return ExitProfile(curve, pushforward(inflow, curve))
+        exits = pushforward(inflow.restrict(frontier), curve)
+        frontier += d_min
+    raise NonTermination(
+        "volume-delay propagation did not drain; check the delay function"
+    )
+
+
+# loop copy of the block loop's exit map
 def _volume_exit_map(
     inflow: CumulativeFlow,
     exits: CumulativeFlow,

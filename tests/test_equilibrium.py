@@ -223,6 +223,19 @@ def test_fixed_departure_class_only_picks_routes():
     assert state.flows["r2"].total < 1e-4
 
 
+@pytest.mark.parametrize("departures", [
+    CumulativeFlow.constant_rate(5.0, 6.0, 2.0),  # after the horizon
+    CumulativeFlow.atom_at(0.0, 2.0),  # at 0, outside ]0, 0.25]
+    CumulativeFlow.constant_rate(3.0, 6.0, 2.0 / 3.0),  # partly after it
+], ids=["after_horizon", "atom_at_zero", "straddles_horizon"])
+def test_fixed_departures_outside_the_bins_are_rejected(departures):
+    # the bins ]b, b + 0.25] cover ]0, 4]; mass elsewhere would be dropped
+    net = parallel({"r1": ConstantModel(1.0), "r2": ConstantModel(2.0)})
+    cls = UserClass("A", "B", mass=2.0, departure_rate=departures)
+    with pytest.raises(ValidationError, match="outside the departure bins"):
+        solve_departure_choice(net, [cls], SolverConfig(bin_width=0.25, max_iters=5), H4)
+
+
 def test_class_validation():
     with pytest.raises(ValidationError):
         UserClass("A", "B", mass=0.0)

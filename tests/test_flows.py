@@ -10,10 +10,10 @@ from dynwardrop import arcs
 from dynwardrop.arcs import ArcPerformanceModel, _point_queue_exits
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.errors import FifoViolation
-from dynwardrop.flows import CumulativeFlow, _build, sum_flows, pushforward
+from dynwardrop.flows import MERGE_TOL, CumulativeFlow, _build, sum_flows, pushforward
 
 import loop_reference
-from helpers import curve_linf, outcome, same_bits, same_flow_bits, same_outcome
+from helpers import curve_linf, knot_linf, outcome, same_bits, same_flow_bits, same_outcome
 from strategies import (
     bottlenecks_st, clustered_parts_st, flows_st, maps_st, mass_st, probe_points, probe_st,
     rate_st, times_st, y_st,
@@ -503,6 +503,20 @@ def test_sum_flows_matches_loop_reference_bits(parts):
     )
 
 
+def test_sum_flows_keeps_mass_of_a_first_cluster_over_distinct_instants():
+    # the breakpoints 0.0 and 1e-9 collapse onto 0.0, where the first part
+    # already carries 2e-9: more than MERGE_TOL * (1 + total) of drift
+    parts = [CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.constant_rate(1e-9, 1.0, 0.25)]
+    f = sum_flows(parts)
+    assert f.total == parts[0].total + parts[1].total
+    assert f.atom_mass(0.0) == pytest.approx(2e-9, rel=1e-6)
+    for h in (0.25, 1.0):
+        assert f.value(h) == pytest.approx(parts[0].value(h) + parts[1].value(h), abs=1e-15)
+    # between vertices the merge moves mass by at most rate * MERGE_TOL
+    for h in (0.1, 0.5):
+        assert f.value(h) == pytest.approx(parts[0].value(h) + parts[1].value(h), abs=3 * MERGE_TOL)
+
+
 delay_models_st = st.sampled_from([
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
     ArcPerformanceModel.affine(0.5, 0.5),
@@ -513,10 +527,109 @@ delay_models_st = st.sampled_from([
 @given(flows_st(max_atoms=0), delay_models_st)
 @settings(max_examples=200, deadline=None)
 def test_volume_delay_exit_profile_matches_loop_reference_bits(f, model):
-    got = model.exit_profile(f)
+    # the outflow is the sweep's map pushed forward, by either pushforward;
+    # where the sweep raises FifoViolation, it raises before pushing forward
+    got = outcome(model.exit_profile, f)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(arcs, "_volume_exit_map", loop_reference._volume_exit_map)
         m.setattr(arcs, "pushforward", loop_reference.pushforward)
-        want = model.exit_profile(f)
-    assert _same_map_bits(got.curve, want.curve)
-    assert same_flow_bits(got.outflow, want.outflow)
+        want = outcome(model.exit_profile, f)
+    assert same_outcome(got, want, lambda g, w: (
+        _same_map_bits(g.curve, w.curve) and same_flow_bits(g.outflow, w.outflow)
+    ))
+
+
+def _close_profiles(f: CumulativeFlow):
+    """Two exit profiles of inflow f agree: their maps and their outflows lie
+    within 1e-12 * (1 + total) at every vertex and midpoint (``knot_linf``),
+    and the first outflow carries f's total."""
+    tol = 1e-12 * (1.0 + f.total)
+
+    def close(got, want) -> bool:
+        return (
+            knot_linf(got.curve, want.curve, np.concatenate([got.curve.xs, want.curve.xs])) <= tol
+            and knot_linf(got.outflow, want.outflow, np.concatenate([got.outflow.times, want.outflow.times, [0.0]])) <= tol
+            and abs(got.outflow.total - f.total) <= 1e-12 * f.total
+        )
+
+    return close
+
+
+def _mass_behind_front(f: CumulativeFlow, curve) -> float:
+    """The largest mass of f that ``curve`` sends, on one of its pieces, more
+    than MERGE_TOL before the front: the latest exit of an earlier entry
+    instant, as pushforward's FIFO filter keeps it, but read between the
+    samples too."""
+    if f.is_zero:
+        return 0.0
+    us = np.unique(np.concatenate([f.times, curve.xs]))
+    us = us[(us >= f.times[0]) & (us <= f.times[-1])]
+    front, worst = -np.inf, 0.0
+    for a, b in zip(us[:-1], us[1:]):
+        ya, yb = curve.value(a), curve.left_value(b)
+        front = max(front, curve.left_value(a), ya)
+        limit = front - MERGE_TOL
+        if min(ya, yb) >= limit:
+            continue
+        # the linear piece lies below the limit on [lo, hi]
+        cut = a + (limit - ya) * (b - a) / (yb - ya) if max(ya, yb) > limit else None
+        lo, hi = (a, b) if cut is None else (cut, b) if ya > limit else (a, cut)
+        worst = max(worst, f.value(hi) - f.value(lo))
+    return worst
+
+
+def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
+    """The sweep raises FifoViolation where the block loop does, and returns
+    a close profile where the block loop returns.
+
+    Both check FIFO the way pushforward does, at samples only, so a map can
+    send mass behind its exit front between two samples unseen.  Where a
+    returned map does, by more than tiny, the profile depends on where its
+    computation sampled, and only its mass is checked.  A FifoViolation's
+    message names the sample where the check fired, so only its type is
+    compared.
+    """
+    got = outcome(model.exit_profile, f)[:2]
+    want = outcome(loop_reference.volume_delay_exit_profile, model, f)[:2]
+    returned = [o[1] for o in (got, want) if o[0] == "ok"]
+    if any(_mass_behind_front(f, p.curve) > 1e-12 * (1.0 + f.total) for p in returned):
+        for p in returned:
+            assert abs(p.outflow.total - f.total) <= 1e-12 * f.total
+        return
+    assert same_outcome(got, want, _close_profiles(f))
+
+
+@given(flows_st(max_atoms=0), delay_models_st)
+@example(  # the on-arc volume falls fast enough that the map runs backwards
+    CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
+    ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_volume_delay_sweep_matches_block_reference(f, model):
+    # flows_st merges vertices closer than MERGE_TOL, which can leave an atom
+    # of at most rate * MERGE_TOL
+    _check_sweep_against_blocks(model, f)
+
+
+affine_models_st = st.sampled_from([
+    ArcPerformanceModel.affine(0.5, 0.5),
+    ArcPerformanceModel.affine(1.0, 0.5),
+    ArcPerformanceModel.affine(0.6, 0.8),
+])
+
+
+@given(flows_st(), affine_models_st)
+@example(  # an atom leaves before the inflow resumes, and the resumed entries
+    # exit before an empty instant does; only an instant h0 + k * t_min
+    # samples that stretch of the map
+    CumulativeFlow.from_vertices(
+        [6.303177554434782, 8.49044521859272, 11.522804130384685],
+        [0.0, 1.8198573167186636, 11.596615560488324],
+        [1.8198573167186636, 1.8198573167186636, 11.596615560488324],
+    ),
+    ArcPerformanceModel.affine(0.6, 0.8),
+)
+@settings(max_examples=300, deadline=None)
+def test_volume_delay_sweep_matches_block_reference_with_atoms(f, model):
+    # a departing atom drops the volume at once, so later entrants may
+    # overtake
+    _check_sweep_against_blocks(model, f)

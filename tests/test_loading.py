@@ -25,7 +25,7 @@ import loop_reference
 from fixtures import (
     acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture, spur_fixture,
 )
-from helpers import curve_linf, same_bits, same_flow_bits
+from helpers import curve_linf, knot_linf, same_bits, same_flow_bits
 from strategies import bottlenecks_st, flows_st, probe_points
 
 
@@ -359,13 +359,34 @@ def test_loading_matches_loop_reference_bits(fx, monkeypatch):
             m.setattr(module, "sum_flows", loop_reference.sum_flows)
         for module in (flows_module, arcs_module):
             m.setattr(module, "pushforward", loop_reference.pushforward)
-        m.setattr(arcs_module, "_volume_exit_map", loop_reference._volume_exit_map)
         m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
         m.setattr(network_module, "flowing", loop_reference.flowing)
         want = _loaded_arrays(fx)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert same_bits(a, b)
+
+
+def test_six_stage_ladder_matches_block_reference():
+    # the exit profiles of volume-delay arcs feed five more stages; the sweep
+    # and the block loop must agree on every arc and route downstream
+    fx = ladder_fixture(6)
+    got = load(fx.network, fx.flows)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ArcPerformanceModel, "exit_profile", loop_reference.volume_delay_exit_profile)
+        want = load(fx.network, fx.flows)
+    for aid in fx.network.arcs:
+        tol = 1e-12 * (1.0 + want.total(aid).total)
+        for g, w in ((got.total(aid), want.total(aid)), (got.outflow_total(aid), want.outflow_total(aid))):
+            assert knot_linf(g, w, np.concatenate([g.times, w.times])) <= tol
+        a, b = got.profiles[aid].curve, want.profiles[aid].curve
+        assert knot_linf(a, b, np.concatenate([a.xs, b.xs])) <= tol
+    got_times = route_times(fx.network, got, fx.horizon)
+    want_times = route_times(fx.network, want, fx.horizon)
+    for rid, b in want_times.arrivals.items():
+        a = got_times.arrivals[rid]
+        assert knot_linf(a, b, np.concatenate([a.xs, b.xs])) <= 1e-12 * (1.0 + fx.flows[rid].total)
+
 
 # -- route times ------------------------------------------------------------------
 
