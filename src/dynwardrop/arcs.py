@@ -293,7 +293,8 @@ def _volume_exit_sweep(
     samples: the events, and the instants h0 + k * t_min before the inflow
     ends, where the map is checked without adding a vertex.  The fixed point
     over blocks of length t_min in ``tests/loop_reference.py`` checks the
-    same samples, so the two raise alike.
+    same samples, each against the mass that entered by the end of its
+    block, so the two raise alike.
 
     Raises:
         FifoViolation: positive mass is sent backwards or onto one instant.
@@ -304,7 +305,6 @@ def _volume_exit_sweep(
     ts, cums = inflow.times.tolist(), inflow.cums.tolist()
     atoms, slopes = inflow.atoms.tolist(), inflow.slopes.tolist()
     n, total, h_last = len(ts), cums[-1], ts[-1]
-    tiny = 1e-12 * (1.0 + total)
     # the delay on [levels[k], levels[k + 1]) is delays[k] + (v - levels[k]) * rise[k] / run[k],
     # as dmap.value reads it; the last piece extends with dmap's final slope
     levels, delays = dmap.xs.tolist(), dmap.ys.tolist()
@@ -388,23 +388,35 @@ def _volume_exit_sweep(
         d = e_lo[q] - e_hi[q - 1]
         return e_hi[q - 1] + d / (et[q] - et[q - 1]) * (t - et[q - 1]) if d > 0.0 else e_hi[q - 1]
 
+    def block_tolerance(end: float) -> float:
+        """pushforward's tolerance for the inflow up to the block end: the
+        mass that entered by then, or all of it."""
+        if end >= h_last:
+            return 1e-12 * (1.0 + total)
+        j = bisect_right(ts, end) - 1
+        return 1e-12 * (1.0 + cums[j] + slopes[j] * (end - ts[j]))
+
     def check_until(x: float) -> None:
-        """Check FIFO at the instants h0 + k * t_min up to the event x, as
+        """Check FIFO at the instants h0 + k * t_min before the event x, as
         samples of the map's stretch from h that add no vertex."""
-        nonlocal check_at
-        while check_at <= x and check_at < h_last:
-            if check_at < x:
+        nonlocal check_at, tiny
+        while check_at < x and check_at < h_last:
+            if check_at > h:
                 a = cums[i - 1] + rate * (check_at - ts[i - 1])
                 tau = check_at + delay(max(0.0, a - exits_at(check_at)))
                 if tau <= lt and a - lm > tiny:
                     refuse(tau, a - lm, check_at)
             check_at += d_min
+            tiny = block_tolerance(check_at)
 
     xs: list[float] = []
     ys: list[float] = []
     i, q = 1, 0  # vertices of A and of E at or before h
     a_left, a_right, e_left, e_right = 0.0, cums[0], 0.0, 0.0
+    # the first instant h0 + k * t_min at or after h, and the tolerance of
+    # the samples up to it
     check_at = h + d_min
+    tiny = block_tolerance(check_at)
     while True:
         rate = slopes[i - 1]
         v_left = a_left - e_left if a_left > e_left else 0.0
@@ -419,7 +431,7 @@ def _volume_exit_sweep(
             xs.append(h)
             ys.append(y_left)
         sample(y_left, y_right, a_left, a_right)
-        if i == n and e_right >= total - tiny:
+        if i == n and e_right >= total - 1e-12 * (1.0 + total):
             return xs, ys
 
         # the next vertex of A or E, and the left limits there
@@ -445,17 +457,17 @@ def _volume_exit_sweep(
                     xs.append(x)
                     ys.append(x + delays[j])
                     sample(x + delays[j], x + delays[j], a, a)
-        if check_at <= nxt:
+        if check_at < nxt:
             check_until(nxt)
 
-        # step to nxt; a vertex of E there may have moved on since
+        # step to nxt
         h = nxt
         a_left = a_right = a_b
         if t_a == nxt:
             a_right = cums[i]
             i += 1
         e_left = e_right = e_b
-        if q < len(et) and et[q] == nxt:
+        if t_e == nxt:
             e_right = e_hi[q]
             q += 1
 

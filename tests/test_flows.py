@@ -582,16 +582,18 @@ def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
     a close profile where the block loop returns.
 
     Both check FIFO the way pushforward does, at samples only, so a map can
-    send mass behind its exit front between two samples unseen.  Where a
-    returned map does, by more than tiny, the profile depends on where its
-    computation sampled, and only its mass is checked.  A FifoViolation's
-    message names the sample where the check fired, so only its type is
-    compared.
+    send mass behind its exit front between two samples unseen.  Where the
+    block loop returns and a returned map does so, by more than tiny, the
+    profile depends on where its computation sampled, and only its mass is
+    checked.  A FifoViolation's message names the sample where the check
+    fired, so only its type is compared.
     """
     got = outcome(model.exit_profile, f)[:2]
     want = outcome(loop_reference.volume_delay_exit_profile, model, f)[:2]
     returned = [o[1] for o in (got, want) if o[0] == "ok"]
-    if any(_mass_behind_front(f, p.curve) > 1e-12 * (1.0 + f.total) for p in returned):
+    if want[0] == "ok" and any(
+        _mass_behind_front(f, p.curve) > 1e-12 * (1.0 + f.total) for p in returned
+    ):
         for p in returned:
             assert abs(p.outflow.total - f.total) <= 1e-12 * f.total
         return
@@ -627,6 +629,16 @@ affine_models_st = st.sampled_from([
         [1.8198573167186636, 1.8198573167186636, 11.596615560488324],
     ),
     ArcPerformanceModel.affine(0.6, 0.8),
+)
+@example(  # 1.17e-11 sent backwards: above the tolerance of the mass entered
+    # by the end of its block, below that of the whole inflow
+    CumulativeFlow(
+        np.array([0.0, 1.0, 2.01171875, 3.0, 4.0]),
+        np.array([3.0, 8.000000001, 8.000000002011719, 8.000000002011719, 11.000000002011719]),
+        np.array([3.0, 4.0, 0.0, 0.0, 0.0]),
+        np.array([1.000000001, 1e-09, 0.0, 3.0, 0.0]),
+    ),
+    ArcPerformanceModel.affine(0.5, 0.5),
 )
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_matches_block_reference_with_atoms(f, model):
