@@ -264,8 +264,8 @@ class ArcPerformanceModel(ArcModel):
         d_min = self.t_min
         if inflow.is_zero:
             return ExitProfile(ExitTimeCurve.shift(d_min), CumulativeFlow.zero())
-        # every user has left by h_last + t_max(total); twice that, with room
-        # for rounding, bounds the sweep
+        # every user has left by h_last + t_max(total); the sweep gives up
+        # another t_max(total) + 8 t_min later
         h_limit = float(inflow.times[-1]) + 2.0 * self.t_max(inflow.total) + 8.0 * d_min
         xs, ys = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
         curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
