@@ -294,7 +294,10 @@ def _volume_exit_sweep(
     ends, where the map is checked without adding a vertex.  The fixed point
     over blocks of length t_min in ``tests/loop_reference.py`` checks the
     same samples, each against the mass that entered by the end of its
-    block, so the two raise alike.
+    block, so the two raise alike.  Those block-end samples and tolerances
+    (``block_tolerance``, ``check_until``) belong to the old algorithm, not
+    to the model: they go once the FIFO contract is settled (ROADMAP, "Do
+    first").
 
     Raises:
         FifoViolation: positive mass is sent backwards or onto one instant.
@@ -339,9 +342,11 @@ def _volume_exit_sweep(
         nonlocal lt, lm, lu, one_sample
         if tau > lt:
             if tau > et[-1] + MERGE_TOL:
-                if one_sample and m == lm and len(et) > 1 and e_hi[-2] == lm and et[-1] > h:
+                if one_sample and m <= lm and (len(et) == 1 or e_hi[-2] >= lm) and et[-1] > h:
                     # the last vertex changes no mass on either side, so it is
-                    # no kink of E; the sweep has not passed it, so it moves
+                    # no kink of E; a rounding dip counts as no change, as
+                    # from_vertices lifts it, and E is 0 before its first
+                    # vertex.  The sweep has not passed it, so it moves
                     et[-1] = tau
                 else:
                     et.append(tau)

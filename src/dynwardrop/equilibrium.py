@@ -417,12 +417,12 @@ def solve_departure_choice(
             fixed_bin_mass.append(None)
         else:
             q = cls.departure_rate
-            bm = np.array([q.mass_between(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])])
-            if abs(bm.sum() - q.total) > 1e-12 * (1.0 + q.total):
+            if abs(q.mass_between(0.0, horizon.end) - q.total) > 1e-12 * (1.0 + q.total):
                 raise ValidationError(
                     f"departure profile of class between {cls.od} carries mass outside "
                     f"the departure bins ]0, {horizon.end}]"
                 )
+            bm = np.array([q.mass_between(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])])
             bm = bm * (cls.mass / bm.sum()) if bm.sum() > 0 else bm
             splits.append(np.full((len(rset), bins), 1.0 / len(rset)))
             fixed_bin_mass.append(bm)
