@@ -450,7 +450,10 @@ def _volume_exit_sweep(
         vb = a_b - e_b if a_b > e_b else 0.0
 
         # up to nxt the volume is linear: its crossings of the delay's
-        # breakpoints, in order, are events too
+        # breakpoints, in order, are events too.  The delay there is read from
+        # the volume at x, not taken as the level's: an inflow whose stored
+        # values and slopes disagree by rounding (up to rate * MERGE_TOL after
+        # a merged cluster) reaches the level a little off x
         k, kb = bisect_right(levels, v_right) - 1, bisect_right(levels, vb) - 1
         if kb != k:
             start = h
@@ -459,9 +462,10 @@ def _volume_exit_sweep(
                 if h < x < nxt:
                     check_until(x)
                     h, a = x, cums[i - 1] + rate * (x - ts[i - 1])
+                    y = x + delay(max(0.0, a - exits_at(x)))
                     xs.append(x)
-                    ys.append(x + delays[j])
-                    sample(x + delays[j], x + delays[j], a, a)
+                    ys.append(y)
+                    sample(y, y, a, a)
         if check_at < nxt:
             check_until(nxt)
 

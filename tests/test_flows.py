@@ -607,6 +607,16 @@ def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
     CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
 )
+@example(  # the merged first cluster leaves the values at 0 and 1 off the
+    # slope by 1.5e-9, so the volume at the crossing of 1.0 reads 1 + 6.7e-10
+    CumulativeFlow(
+        np.array([0.0, 1.0, 1.000000001]),
+        np.array([1e-09, 1.4999999995, 1.5]),
+        np.array([1e-09, 0.0, 0.0]),
+        np.array([1.5, 0.5, 0.0]),
+    ),
+    ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
+)
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_matches_block_reference(f, model):
     # flows_st merges vertices closer than MERGE_TOL, which can leave an atom
