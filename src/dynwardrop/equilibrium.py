@@ -5,14 +5,17 @@ instant, no used route of an origin-destination pair is slower than an unused
 alternative.  Departure choice generalizes this to scheduling utilities with
 earliness/lateness penalties around a preferred arrival time.
 
-Both solvers discretize departures into uniform bins and average a response
-into the current choice with a shrinking step.  Route choice averages the
-all-or-nothing best response with step 1/(n+1).  Departure choice averages a
-logit response of annealed temperature (all-or-nothing for classes with a
-fixed departure profile) with an annealed step.  No convergence guarantee is
-claimed; the certificate is the reported gap: the mass-weighted excess travel
-time (or utility regret) relative to the best available alternative,
-normalized to [0, 1].
+Both solvers discretize departures into uniform bins, score every (route,
+bin) option by its bin-averaged utility, and average a response into the
+current choice with a shrinking step.  Route choice is the special case whose
+users weigh travel time alone: its bin cost is minus the utility of a class
+with alpha = 1 and beta = gamma = 0, and it averages the all-or-nothing best
+response with step 1/(n+1).  Departure choice averages a logit response of
+annealed temperature (all-or-nothing for classes with a fixed departure
+profile) with an annealed step.  No convergence guarantee is claimed; the
+certificate is the reported gap: the mass-weighted excess travel time (or
+utility regret) relative to the best available alternative, normalized to
+[0, 1].
 """
 
 from __future__ import annotations
@@ -152,23 +155,32 @@ def induced_flows(
     """Assemble route inflows from per-(od, bin) route shares.
 
     ``shares[od]`` has shape (routes of od, bins); each column sums to one.
-    Within a bin, demand keeps its own departure profile, so the od margins
-    reproduce the demand bin by bin.
+    Within a bin, demand keeps its own departure profile: on every piece
+    between the demand's breakpoints and the edges, a route's density is its
+    share of the demand density, so the od margins reproduce the demand bin
+    by bin.  Demand outside ``[edges[0], edges[-1]]`` is dropped.
     """
     flows: RouteFlowPattern = {r: CumulativeFlow.zero() for r in network.routes}
     for od, share in shares.items():
-        rset = network.routes_between(*od)
         q = demand.rates[od]
-        slices = [q.clip(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
-        for k, rid in enumerate(rset):
-            parts = [
-                s.scaled(float(share[k, b]))
-                for b, s in enumerate(slices)
-                if share[k, b] > 0 and not s.is_zero
-            ]
-            if parts:
-                flows[rid] = sum_flows([flows[rid], *parts])
+        if q.is_zero:
+            continue
+        pts = np.union1d(q.times, edges)
+        pts = pts[(pts >= edges[0]) & (pts <= edges[-1])]
+        # the demand is atom-free: each piece's mass is its density times its
+        # width, never a difference of cumulative values that rounds below 0
+        i = np.searchsorted(q.times, pts[:-1], side="right") - 1
+        density = np.where(i < 0, 0.0, q.slopes[np.maximum(i, 0)])
+        bin_of = np.searchsorted(edges, pts[:-1], side="right") - 1
+        for k, rid in enumerate(network.routes_between(*od)):
+            masses = share[k, bin_of] * density * (pts[1:] - pts[:-1])
+            flows[rid] = CumulativeFlow.from_bins(pts, masses)
     return flows
+
+
+def _bin_masses(flow: CumulativeFlow, edges: np.ndarray) -> np.ndarray:
+    """``flow.mass_between`` over each bin ``]edges[b], edges[b + 1]]``, bit for bit."""
+    return np.maximum(np.diff(flow.values(edges)), 0.0)
 
 
 def margin_error(
@@ -180,12 +192,20 @@ def margin_error(
     """Worst relative mismatch between route-flow margins and demand, per bin."""
     worst = 0.0
     for od, q in demand.rates.items():
-        rset = network.routes_between(*od)
-        for a, b in zip(edges[:-1], edges[1:]):
-            want = q.mass_between(float(a), float(b))
-            got = sum(flows[r].mass_between(float(a), float(b)) for r in rset)
-            worst = max(worst, abs(got - want) / (1.0 + want))
+        want = _bin_masses(q, edges)
+        got = sum(_bin_masses(flows[r], edges) for r in network.routes_between(*od))
+        worst = max(worst, float(np.max(np.abs(got - want) / (1.0 + want))))
     return worst
+
+
+def _best_options(u: np.ndarray) -> np.ndarray:
+    """All-or-nothing response to the (option, bin) utilities ``u``: in each
+    bin, weight one on the lowest-index option within ``TIE_TOLERANCE`` of
+    the best."""
+    k = np.argmax(u >= u.max(axis=0) - TIE_TOLERANCE, axis=0)
+    target = np.zeros_like(u)
+    target[k, np.arange(u.shape[1])] = 1.0
+    return target
 
 
 # -- gap ------------------------------------------------------------------------
@@ -277,7 +297,9 @@ def solve_wardrop(
 
     Starts from uniform splits.  Every iteration loads the induced flows,
     measures the gap, and reassigns each (od, bin) to its fastest route by
-    bin-averaged travel time (ties to the lowest route id).  Returns the
+    bin-averaged travel time (ties to the lowest route id).  That cost is
+    minus the bin utility of a ``UserClass`` with alpha = 1 and
+    beta = gamma = 0, computed by the departure-choice kernel.  Returns the
     best-gap state visited.
 
     Raises:
@@ -322,14 +344,8 @@ def solve_wardrop(
             rset = network.routes_between(*od)
             if len(rset) <= 1:
                 continue
-            target = np.zeros_like(shares[od])
-            for b in range(bins):
-                lo, hi = float(edges[b]), float(edges[b + 1])
-                costs = np.array([times.mean_travel_time(r, lo, hi) for r in rset])
-                # deterministic tie break toward the lowest route id
-                k = int(np.flatnonzero(costs <= costs.min() + TIE_TOLERANCE)[0])
-                target[k, b] = 1.0
-            shares[od] = (1.0 - step) * shares[od] + step * target
+            u = _class_utilities(UserClass(*od, mass=1.0), rset, times, edges)
+            shares[od] = (1.0 - step) * shares[od] + step * _best_options(u)
     assert best is not None
     best.gap_trace = trace
     best.max_margin_error = worst_margin
@@ -422,7 +438,7 @@ def solve_departure_choice(
                     f"departure profile of class between {cls.od} carries mass outside "
                     f"the departure bins ]0, {horizon.end}]"
                 )
-            bm = np.array([q.mass_between(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])])
+            bm = _bin_masses(q, edges)
             bm = bm * (cls.mass / bm.sum()) if bm.sum() > 0 else bm
             splits.append(np.full((len(rset), bins), 1.0 / len(rset)))
             fixed_bin_mass.append(bm)
@@ -460,15 +476,14 @@ def solve_departure_choice(
                 target /= target.sum()
                 targets.append(target)
             else:
-                target = np.zeros_like(split)
+                target = _best_options(u)
+                best_u = (target * u).sum(axis=0)
+                w = bm / cls.mass
                 best_w = 0.0
                 ach_w = 0.0
                 for b in range(bins):
-                    k = int(np.flatnonzero(u[:, b] >= u[:, b].max() - TIE_TOLERANCE)[0])
-                    target[k, b] = 1.0
-                    w = bm[b] / cls.mass if cls.mass > 0 else 0.0
-                    best_w += w * u[k, b]
-                    ach_w += w * float(np.dot(split[:, b], u[:, b]))
+                    best_w += w[b] * best_u[b]
+                    ach_w += w[b] * float(np.dot(split[:, b], u[:, b]))
                 regret_mass += cls.mass * (best_w - ach_w)
                 norm += cls.mass * abs(best_w)
                 targets.append(target)

@@ -305,32 +305,6 @@ class CumulativeFlow:
         slopes = np.concatenate([self.slopes[: k + 1], [0.0]])
         return CumulativeFlow(times, cums, atoms, slopes)
 
-    def after(self, h: float) -> "CumulativeFlow":
-        """The measure of ``J -> mass(J inter ]h, +inf[)``."""
-        if self.is_zero or h < self.times[0]:
-            return self
-        if h >= self.times[-1]:
-            return CumulativeFlow.zero()
-        base = self.value(h)
-        j = int(np.searchsorted(self.times, h, side="right"))
-        times = self.times[j:]
-        cums = self.cums[j:] - base
-        atoms = self.atoms[j:]
-        slopes = self.slopes[j:]
-        s = self.slope_at(h)
-        if s > 0.0:
-            times = np.append(h, times)
-            cums = np.append(0.0, cums)
-            atoms = np.append(0.0, atoms)
-            slopes = np.append(s, slopes)
-        return _build(times, cums, atoms, slopes)
-
-    def clip(self, lo: float, hi: float) -> "CumulativeFlow":
-        """Mass carried on the half-open window ]lo, hi]."""
-        if lo > hi:
-            raise ValueError(f"window bounds out of order: ({lo}, {hi})")
-        return self.restrict(hi).after(lo)
-
     def scaled(self, factor: float) -> "CumulativeFlow":
         """The measure multiplied by a nonnegative factor."""
         if factor < 0:

@@ -104,8 +104,7 @@ def oracle_load(network: Network, route_flows: RouteFlowPattern, grid: GridConfi
     inflows: dict[str, dict[str, np.ndarray]] = {aid: {} for aid in network.arcs}
     outflows: dict[str, dict[str, np.ndarray]] = {aid: {} for aid in network.arcs}
     for rid, arc_ids in network.routes.items():
-        cum = np.array([x[rid].value(float(t)) for t in ts])
-        inflows[arc_ids[0]][rid] = cum
+        inflows[arc_ids[0]][rid] = x[rid].values(ts)
     totals: dict[str, np.ndarray] = {}
     # upstream contributions are complete before an arc is served
     for aid in order:
@@ -138,8 +137,7 @@ def compare_to_exact(network: Network, bundle: ArcFlowBundle, gridded: GridBundl
                 (bundle.outflow_total(aid), np.sum(list(grid_out.values()), axis=0))
             )
         for exact, approx in pairs:
-            vals = np.array([exact.value(float(t)) for t in gridded.grid])
-            worst = max(worst, float(np.max(np.abs(vals - approx))))
+            worst = max(worst, float(np.max(np.abs(exact.values(gridded.grid) - approx))))
     return worst
 
 

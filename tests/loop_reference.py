@@ -10,6 +10,11 @@ runs on the loop copies of ``sum_flows``, ``_route_share`` and
 ``_point_queue_exits``; ``compose_after`` takes the map as its first argument,
 as the method does.
 
+``induced_flows``, ``route_utilities``, ``best_options`` and ``margin_error``
+are the route-choice solver's parts before it shared the departure-choice
+bin kernels: the demand clipped to each bin, scaled and summed, one
+``mean_travel_time`` and one tie-break per bin, one ``mass_between`` per bin.
+
 ``volume_delay_exit_profile`` is the block fixed point that the volume-delay
 sweep replaced, on the loop copies of its exit map and of ``pushforward``.
 It is an independent reference: the tests compare the sweep with it within
@@ -25,10 +30,10 @@ import numpy as np
 
 from dynwardrop.arcs import ArcModel, ExitProfile
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
-from dynwardrop.equilibrium import UserClass
+from dynwardrop.equilibrium import TIE_TOLERANCE, DemandTable, UserClass
 from dynwardrop.errors import FifoViolation, NonTermination
 from dynwardrop.flows import MERGE_TOL, CumulativeFlow
-from dynwardrop.network import TravelTimePattern
+from dynwardrop.network import Network, RouteFlowPattern, TravelTimePattern
 
 
 def _build(times, cums, atoms, slopes) -> CumulativeFlow:
@@ -218,6 +223,93 @@ def _utility_at(cls: UserClass, arrival_curve, h: float, left: bool = False) -> 
     early = max(0.0, cls.h_star - a)
     late = max(0.0, a - cls.h_star)
     return -cls.alpha * travel - cls.beta * early - cls.gamma * late
+
+
+def induced_flows(
+    network: Network,
+    demand: DemandTable,
+    shares: Mapping[tuple[str, str], np.ndarray],
+    edges: np.ndarray,
+) -> RouteFlowPattern:
+    """``equilibrium.induced_flows`` as the demand cut to each bin's window,
+    scaled by the route's share and summed."""
+    flows: RouteFlowPattern = {r: CumulativeFlow.zero() for r in network.routes}
+    for od, share in shares.items():
+        rset = network.routes_between(*od)
+        q = demand.rates[od]
+        slices = [_window(q, float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+        for k, rid in enumerate(rset):
+            parts = [
+                s.scaled(float(share[k, b]))
+                for b, s in enumerate(slices)
+                if share[k, b] > 0 and not s.is_zero
+            ]
+            if parts:
+                flows[rid] = sum_flows([flows[rid], *parts])
+    return flows
+
+
+def _window(f: CumulativeFlow, lo: float, hi: float) -> CumulativeFlow:
+    """The mass of ``f`` on ]lo, hi]: ``f`` restricted to hi, less its curve
+    up to lo."""
+    f = f.restrict(hi)
+    if f.is_zero or lo < f.times[0]:
+        return f
+    if lo >= f.times[-1]:
+        return CumulativeFlow.zero()
+    base = f.value(lo)
+    j = int(np.searchsorted(f.times, lo, side="right"))
+    times, cums, atoms, slopes = f.times[j:], f.cums[j:] - base, f.atoms[j:], f.slopes[j:]
+    s = f.slope_at(lo)
+    if s > 0.0:
+        times = np.append(lo, times)
+        cums = np.append(0.0, cums)
+        atoms = np.append(0.0, atoms)
+        slopes = np.append(s, slopes)
+    return _build(times, cums, atoms, slopes)
+
+
+def route_utilities(
+    cls: UserClass,
+    rset: Sequence[str],
+    times: TravelTimePattern,
+    edges: np.ndarray,
+) -> np.ndarray:
+    """Minus ``mean_travel_time`` per (route, bin): the route solver's bin
+    costs as utilities.  ``cls`` is its travel-time-only class, not read."""
+    return np.array([
+        [-times.mean_travel_time(rid, float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+        for rid in rset
+    ])
+
+
+def best_options(u: np.ndarray) -> np.ndarray:
+    """``equilibrium._best_options`` bin by bin."""
+    target = np.zeros_like(u)
+    for b in range(u.shape[1]):
+        k = int(np.flatnonzero(u[:, b] >= u[:, b].max() - TIE_TOLERANCE)[0])
+        target[k, b] = 1.0
+    return target
+
+
+def margin_error(
+    network: Network,
+    demand: DemandTable,
+    flows: RouteFlowPattern,
+    edges: np.ndarray,
+) -> float:
+    """``equilibrium.margin_error`` with one ``mass_between`` per bin."""
+    worst = 0.0
+    for od, q in demand.rates.items():
+        rset = network.routes_between(*od)
+        for a, b in zip(edges[:-1], edges[1:]):
+            want = q.mass_between(float(a), float(b))
+            # left to right from 0.0; the builtin sum compensates from Python 3.12
+            got = 0.0
+            for r in rset:
+                got += flows[r].mass_between(float(a), float(b))
+            worst = max(worst, abs(got - want) / (1.0 + want))
+    return worst
 
 
 def flowing(

@@ -21,7 +21,7 @@ from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import Arc, Network, TravelTimePattern, load, route_times
 
 import loop_reference
-from helpers import same_bits, same_flow_bits
+from helpers import curve_linf, same_bits, same_flow_bits
 from strategies import bottlenecks_st, flows_st, maps_st
 
 
@@ -81,6 +81,57 @@ def test_margins_match_bin_by_bin():
     rng = np.random.default_rng(0)
     share = rng.dirichlet(np.ones(2), size=16).T
     flows = induced_flows(net, dem, {("A", "B"): share}, edges)
+    assert margin_error(net, dem, flows, edges) < 1e-12
+
+
+@st.composite
+def induced_case_st(draw):
+    """Piecewise demand on [0, 8], edges that may leave some of it outside,
+    and per-bin shares of 1-3 routes, some of them zero and none so small
+    that a piece's mass underflows."""
+    segs = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=6.0),
+            st.floats(min_value=0.01, max_value=2.0),
+            st.floats(min_value=0.01, max_value=4.0),
+        ),
+        min_size=1, max_size=4,
+    ))
+    q = CumulativeFlow.piecewise_rate([(a, a + w, r) for a, w, r in segs])
+    widths = draw(st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=16))
+    edges = draw(st.floats(min_value=-1.0, max_value=4.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    routes = draw(st.integers(min_value=1, max_value=3))
+    raw = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(min_value=1e-9, max_value=1.0),
+        min_size=routes * (edges.size - 1), max_size=routes * (edges.size - 1),
+    ))).reshape(routes, edges.size - 1)
+    raw[0, raw.sum(axis=0) == 0] = 1.0
+    return q, edges, raw / raw.sum(axis=0)
+
+
+@given(induced_case_st())
+@settings(max_examples=200, deadline=None)
+def test_induced_flows_split_the_demand_density(case):
+    q, edges, share = case
+    net = parallel({f"r{k}": ConstantModel(1.0) for k in range(share.shape[0])})
+    dem = DemandTable({("A", "B"): q}, Horizon(8.0))
+    shares = {("A", "B"): share}
+    flows = induced_flows(net, dem, shares, edges)
+    want = loop_reference.induced_flows(net, dem, shares, edges)
+    pts = np.union1d(q.times, edges)
+    pts = pts[(pts >= edges[0]) & (pts <= edges[-1])]
+    mids = (pts[:-1] + pts[1:]) / 2
+    bin_of = np.searchsorted(edges, mids) - 1
+    density = np.array([q.slope_at(float(h)) for h in mids])
+    scale = 1.0 + q.total
+    for k, rid in enumerate(net.routes):
+        f = flows[rid]
+        for h, b, d in zip(mids, bin_of, density):
+            assert f.slope_at(float(h)) == pytest.approx(share[k, b] * d, rel=1e-13, abs=0.0)
+        # demand outside the edges is dropped, as the loop reference drops it
+        assert f.value(float(edges[0])) == 0.0
+        assert f.value(float(edges[-1])) == f.total
+        assert curve_linf(f, want[rid]) <= 1e-12 * scale
     assert margin_error(net, dem, flows, edges) < 1e-12
 
 
@@ -335,3 +386,75 @@ def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
         assert same_bits(got.times.arrivals[rid].ys, want.times.arrivals[rid].ys)
     for i in want.splits:
         assert same_bits(got.splits[i], want.splits[i])
+
+
+# -- route choice on the departure-choice bin kernels ----------------------------------
+
+def _three_arc_instance():
+    # the third instance of the acceptance suite's margin test
+    net = Network(
+        {
+            "f1": Arc("A", "M", ConstantModel(0.5)),
+            "f2": Arc("A", "M", ConstantModel(0.75)),
+            "srv": Arc("M", "B", BottleneckModel(0.5, 1.5)),
+        },
+        {"r1": ("f1", "srv"), "r2": ("f2", "srv")},
+    )
+    dem = DemandTable(
+        {("A", "B"): CumulativeFlow.piecewise_rate([(0.0, 1.0, 1.5), (1.5, 2.0, 1.0)])}, H4
+    )
+    return net, dem, SolverConfig(bin_width=0.25, max_iters=40, tolerance=1e-9)
+
+
+def _corridor_instance():
+    # the acceptance corridor, cut to 60 iterations
+    net = parallel({"fast": ConstantModel(1.0), "jam": BottleneckModel(0.5, 1.0)})
+    return net, demand_one(2.0), SolverConfig(bin_width=4.0 / 128, max_iters=60, tolerance=1e-4)
+
+
+@pytest.mark.parametrize("instance", [_three_arc_instance, _corridor_instance])
+def test_route_solver_matches_loop_reference_bits(instance, monkeypatch):
+    got = solve_wardrop(*instance())
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "induced_flows", loop_reference.induced_flows)
+        m.setattr(equilibrium, "margin_error", loop_reference.margin_error)
+        m.setattr(equilibrium, "_class_utilities", loop_reference.route_utilities)
+        m.setattr(equilibrium, "_best_options", loop_reference.best_options)
+        want = solve_wardrop(*instance())
+    assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])
+    assert same_bits(got.max_margin_error, want.max_margin_error)
+    assert got.splits.keys() == want.splits.keys()
+    for od in want.splits:
+        assert same_bits(got.splits[od], want.splits[od])
+    for rid in want.flows:
+        assert same_flow_bits(got.flows[rid], want.flows[rid])
+
+
+def test_best_options_breaks_ties_toward_the_lowest_index():
+    u = np.array([
+        [1.0, 0.0, 5.0, 2.0],
+        [1.0 + 5e-13, 2.0, 5.0 - 2e-12, 2.0],
+        [0.5, 2.0, 4.0, 2.0 + 2e-12],
+    ])
+    # within TIE_TOLERANCE of the best, an exact tie, a clear best, beyond it
+    want = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    assert same_bits(equilibrium._best_options(u), want)
+    assert same_bits(loop_reference.best_options(u), want)
+
+
+@given(
+    st.lists(arrival_curve_st(), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([4.0, 10.0, 12.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_travel_time_utilities_match_mean_travel_time(curves, bins, end):
+    # route choice's bin costs come from the kernel; mean_travel_time is the
+    # exact average it replaced
+    rset = [f"r{k}" for k in range(len(curves))]
+    times = TravelTimePattern(dict(zip(rset, curves)), Horizon(end))
+    edges = np.linspace(0.0, end, bins + 1)
+    travel_only = UserClass("A", "B", mass=1.0)
+    costs = -equilibrium._class_utilities(travel_only, rset, times, edges)
+    means = -loop_reference.route_utilities(travel_only, rset, times, edges)
+    assert np.max(np.abs(costs - means)) <= 1e-12

@@ -198,20 +198,6 @@ def test_sum_is_associative_in_value(fs, t):
     assert a.value(t) == pytest.approx(b.value(t), abs=1e-11 * scale)
 
 
-# -- windows ----------------------------------------------------------------
-
-def test_clip_partitions_mass():
-    f = sum_flows([
-        CumulativeFlow.constant_rate(0.0, 4.0, 1.5),
-        CumulativeFlow.atom_at(2.0, 1.0),
-    ])
-    cuts = np.linspace(0.0, 4.0, 9)
-    parts = [f.clip(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    glued = sum_flows(parts)
-    assert glued.total == pytest.approx(f.total, rel=1e-13)
-    assert curve_linf(glued, f) < 1e-12
-
-
 # -- pushforward ------------------------------------------------------------
 
 def test_shift_map_moves_atom():
