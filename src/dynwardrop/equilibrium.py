@@ -211,21 +211,20 @@ def _best_options(u: np.ndarray) -> np.ndarray:
 # -- gap ------------------------------------------------------------------------
 
 
-def _integrate_against(flow: CumulativeFlow, fn, kinks: np.ndarray) -> float:
-    """Exact integral of a piecewise-linear fn against the flow measure."""
-    if flow.is_zero:
-        return 0.0
-    lo, hi = flow.support()
-    pts = np.unique(np.concatenate([flow.times, kinks[(kinks > lo) & (kinks < hi)]]))
-    total = 0.0
-    for t, atom in zip(flow.times, flow.atoms):
-        if atom > 0:
-            total += atom * fn(float(t))
-    for a, b in zip(pts[:-1], pts[1:]):
-        rate = flow.slope_at(float((a + b) / 2))
-        if rate > 0:
-            total += rate * 0.5 * (fn(float(a)) + fn(float(b))) * (b - a)
-    return total
+def _integrate_against(flow: CumulativeFlow, pts: np.ndarray, fn: np.ndarray) -> float:
+    """Exact integral against the flow measure of the function whose values
+    at ``pts`` are ``fn``.
+
+    ``pts`` holds the flow's breakpoints and every kink of the function
+    inside its support, so the function is linear between neighbours.
+    """
+    at = np.searchsorted(pts, flow.times)
+    # midpoints lie at or after the flow's first breakpoint: no index is -1
+    rate = flow.slopes[np.searchsorted(flow.times, (pts[:-1] + pts[1:]) / 2, side="right") - 1]
+    trapezoids = rate * 0.5 * (fn[:-1] + fn[1:]) * (pts[1:] - pts[:-1])
+    terms = [[0.0], (flow.atoms * fn[at])[flow.atoms > 0], trapezoids[rate > 0]]
+    # cumsum adds left to right from 0.0, so the total rounds as a running sum
+    return float(np.cumsum(np.concatenate(terms))[-1])
 
 
 def wardrop_gap(
@@ -249,42 +248,33 @@ def wardrop_gap(
         live = [r for r in rset if not flows[r].is_zero]
         if not live:
             continue
-        curves = {r: times.arrivals[r] for r in rset}
-        kinks = [c.xs for c in curves.values()]
-        # pairwise crossings refine the quadrature so min() is exact piecewise
-        cross: list[float] = []
-        for i, r1 in enumerate(rset):
-            for r2 in rset[i + 1:]:
-                cross.extend(_crossings(curves[r1], curves[r2]))
-        refine = np.unique(np.concatenate([*kinks, np.array(cross)])) if cross else np.unique(np.concatenate(kinks))
-
-        def tmin(h: float) -> float:
-            return min(c.travel_time(h) for c in curves.values())
-
+        curves = [times.arrivals[r] for r in rset]
+        # pairwise crossings refine the quadrature so the minimum is exact piecewise
+        cross = [_crossings(c1, c2) for i, c1 in enumerate(curves) for c2 in curves[i + 1:]]
+        refine = np.unique(np.concatenate([*(c.xs for c in curves), *cross]))
         for r in live:
-            tr = curves[r]
-            num += _integrate_against(
-                flows[r], lambda h: tr.travel_time(h) - tmin(h), refine
-            )
-            den += _integrate_against(flows[r], lambda h: tr.travel_time(h), refine)
+            flow = flows[r]
+            lo, hi = flow.support()
+            pts = np.unique(np.concatenate([flow.times, refine[(refine > lo) & (refine < hi)]]))
+            travel = times.arrivals[r].values(pts) - pts
+            fastest = np.minimum.reduce([c.values(pts) - pts for c in curves])
+            num += _integrate_against(flow, pts, travel - fastest)
+            den += _integrate_against(flow, pts, travel)
     if den <= 0.0:
         raise DegenerateDemand("gap undefined for a massless pattern")
     return max(0.0, num / den)
 
 
-def _crossings(c1, c2) -> list[float]:
+def _crossings(c1, c2) -> np.ndarray:
     """Abscissae where two piecewise-linear maps cross."""
     xs = np.unique(np.concatenate([c1.xs, c2.xs]))
-    if xs.size == 0:
-        return []
-    out: list[float] = []
     span = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
-    for a, b in zip(span[:-1], span[1:]):
-        f_a = c1.value(float(a)) - c2.value(float(a))
-        f_b = c1.left_value(float(b)) - c2.left_value(float(b))
-        if f_a * f_b < 0:
-            out.append(float(a + (b - a) * f_a / (f_a - f_b)))
-    return out
+    a, b = span[:-1], span[1:]
+    f_a = c1.values(a) - c2.values(a)
+    f_b = c1.left_values(b) - c2.left_values(b)
+    hit = f_a * f_b < 0
+    a, b, f_a, f_b = a[hit], b[hit], f_a[hit], f_b[hit]
+    return a + (b - a) * f_a / (f_a - f_b)
 
 
 # -- route-choice equilibrium ----------------------------------------------------
@@ -487,7 +477,7 @@ def solve_departure_choice(
                 regret_mass += cls.mass * (best_w - ach_w)
                 norm += cls.mass * abs(best_w)
                 targets.append(target)
-        gap = max(0.0, regret_mass) / (norm + 1.0)
+        gap = float(max(0.0, regret_mass) / (norm + 1.0))
         trace.append((it, gap))
         if best is None or gap < best.gap:
             best = EquilibriumState(

@@ -14,6 +14,9 @@ as the method does.
 are the route-choice solver's parts before it shared the departure-choice
 bin kernels: the demand clipped to each bin, scaled and summed, one
 ``mean_travel_time`` and one tie-break per bin, one ``mass_between`` per bin.
+``wardrop_gap``, ``_integrate_against`` and ``_crossings`` are the gap before
+it read the curves in arrays: a callable integrand at every point, a ``min``
+over the routes' travel times there, and one ``slope_at`` per piece.
 
 ``volume_delay_exit_profile`` is the block fixed point that the volume-delay
 sweep replaced, on the loop copies of its exit map and of ``pushforward``.
@@ -31,7 +34,7 @@ import numpy as np
 from dynwardrop.arcs import ArcModel, ExitProfile
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.equilibrium import TIE_TOLERANCE, DemandTable, UserClass
-from dynwardrop.errors import FifoViolation, NonTermination
+from dynwardrop.errors import DegenerateDemand, FifoViolation, NonTermination
 from dynwardrop.flows import MERGE_TOL, CumulativeFlow
 from dynwardrop.network import Network, RouteFlowPattern, TravelTimePattern
 
@@ -310,6 +313,76 @@ def margin_error(
                 got += flows[r].mass_between(float(a), float(b))
             worst = max(worst, abs(got - want) / (1.0 + want))
     return worst
+
+
+def _integrate_against(flow: CumulativeFlow, fn, kinks: np.ndarray) -> float:
+    """``equilibrium._integrate_against`` with a callable integrand, one
+    ``slope_at`` per piece and a running total."""
+    if flow.is_zero:
+        return 0.0
+    lo, hi = flow.support()
+    pts = np.unique(np.concatenate([flow.times, kinks[(kinks > lo) & (kinks < hi)]]))
+    total = 0.0
+    for t, atom in zip(flow.times, flow.atoms):
+        if atom > 0:
+            total += atom * fn(float(t))
+    for a, b in zip(pts[:-1], pts[1:]):
+        rate = flow.slope_at(float((a + b) / 2))
+        if rate > 0:
+            total += rate * 0.5 * (fn(float(a)) + fn(float(b))) * (b - a)
+    return total
+
+
+def wardrop_gap(
+    network: Network, flows: RouteFlowPattern, times: TravelTimePattern
+) -> float:
+    """``equilibrium.wardrop_gap`` with the per-od minimum taken by ``min``
+    at every point, through the loop copies of ``_integrate_against`` and
+    ``_crossings``."""
+    num = 0.0
+    den = 0.0
+    by_od: dict[tuple[str, str], list[str]] = {}
+    for rid in network.routes:
+        by_od.setdefault(network.od_of_route(rid), []).append(rid)
+    for od, rset in sorted(by_od.items()):
+        live = [r for r in rset if not flows[r].is_zero]
+        if not live:
+            continue
+        curves = {r: times.arrivals[r] for r in rset}
+        kinks = [c.xs for c in curves.values()]
+        cross: list[float] = []
+        for i, r1 in enumerate(rset):
+            for r2 in rset[i + 1:]:
+                cross.extend(_crossings(curves[r1], curves[r2]))
+        refine = np.unique(np.concatenate([*kinks, np.array(cross)])) if cross else np.unique(np.concatenate(kinks))
+
+        def tmin(h: float) -> float:
+            return min(c.travel_time(h) for c in curves.values())
+
+        for r in live:
+            tr = curves[r]
+            num += _integrate_against(
+                flows[r], lambda h: tr.travel_time(h) - tmin(h), refine
+            )
+            den += _integrate_against(flows[r], lambda h: tr.travel_time(h), refine)
+    if den <= 0.0:
+        raise DegenerateDemand("gap undefined for a massless pattern")
+    return max(0.0, num / den)
+
+
+def _crossings(c1, c2) -> list[float]:
+    """``equilibrium._crossings`` span by span."""
+    xs = np.unique(np.concatenate([c1.xs, c2.xs]))
+    if xs.size == 0:
+        return []
+    out: list[float] = []
+    span = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
+    for a, b in zip(span[:-1], span[1:]):
+        f_a = c1.value(float(a)) - c2.value(float(a))
+        f_b = c1.left_value(float(b)) - c2.left_value(float(b))
+        if f_a * f_b < 0:
+            out.append(float(a + (b - a) * f_a / (f_a - f_b)))
+    return out
 
 
 def flowing(

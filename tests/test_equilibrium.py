@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynwardrop import equilibrium
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
+from dynwardrop.curves import ExitTimeCurve
 from dynwardrop.equilibrium import (
     DemandTable,
     SolverConfig,
@@ -21,7 +22,7 @@ from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import Arc, Network, TravelTimePattern, load, route_times
 
 import loop_reference
-from helpers import curve_linf, same_bits, same_flow_bits
+from helpers import curve_linf, outcome, same_bits, same_flow_bits, same_outcome
 from strategies import bottlenecks_st, flows_st, maps_st
 
 
@@ -379,6 +380,7 @@ def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
         m.setattr(CumulativeFlow, "from_bins", staticmethod(loop_reference.from_bins))
         want = solve_departure_choice(*instance())
     assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])
+    assert type(got.gap) is float and all(type(g) is float for _, g in got.gap_trace)
     assert got.flows.keys() == want.flows.keys()
     for rid in want.flows:
         assert same_flow_bits(got.flows[rid], want.flows[rid])
@@ -422,12 +424,82 @@ def test_route_solver_matches_loop_reference_bits(instance, monkeypatch):
         m.setattr(equilibrium, "_best_options", loop_reference.best_options)
         want = solve_wardrop(*instance())
     assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])
+    assert type(got.gap) is float and all(type(g) is float for _, g in got.gap_trace)
     assert same_bits(got.max_margin_error, want.max_margin_error)
     assert got.splits.keys() == want.splits.keys()
     for od in want.splits:
         assert same_bits(got.splits[od], want.splits[od])
     for rid in want.flows:
         assert same_flow_bits(got.flows[rid], want.flows[rid])
+
+
+def _affine_pair_instance(bin_width: float, max_iters: int, tolerance: float):
+    # acceptance tests 8 and 11: two identical volume-delay routes
+    net = Network(
+        {
+            "p1": Arc("A", "B", ArcPerformanceModel.affine(1.0, 0.5)),
+            "p2": Arc("A", "B", ArcPerformanceModel.affine(1.0, 0.5)),
+        },
+        {"r1": ("p1",), "r2": ("p2",)},
+    )
+    config = SolverConfig(bin_width=bin_width, max_iters=max_iters, tolerance=tolerance)
+    return net, demand_one(2.0), config
+
+
+def _acceptance_corridor_instance():
+    # acceptance test 11's corridor, on 1/4-wide bins
+    net = Network(
+        {"fast": Arc("A", "B", ConstantModel(1.0)), "jam": Arc("A", "B", BottleneckModel(0.5, 1.0))},
+        {"r1": ("fast",), "r2": ("jam",)},
+    )
+    return net, demand_one(2.0), SolverConfig(bin_width=0.25, max_iters=40, tolerance=1e-9)
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(_corridor_instance, id="corridor"),
+    pytest.param(lambda: _affine_pair_instance(0.125, 200, 1e-3), id="acceptance_8"),
+    pytest.param(lambda: _affine_pair_instance(0.25, 40, 1e-9), id="acceptance_11_pair"),
+    pytest.param(_acceptance_corridor_instance, id="acceptance_11_corridor"),
+    pytest.param(_three_arc_instance, id="acceptance_11_three_arc"),
+])
+def test_wardrop_gap_matches_loop_reference_bits_along_solves(instance, monkeypatch):
+    # every state the solver visits, scored by both versions of the gap
+    pairs = []
+
+    def both(network, flows, times):
+        got = wardrop_gap(network, flows, times)
+        pairs.append((got, loop_reference.wardrop_gap(network, flows, times)))
+        return got
+
+    monkeypatch.setattr(equilibrium, "wardrop_gap", both)
+    state = solve_wardrop(*instance())
+    assert len(pairs) == state.iterations
+    assert all(type(got) is float for got, _ in pairs)
+    assert same_bits([got for got, _ in pairs], [want for _, want in pairs])
+
+
+@st.composite
+def gap_case_st(draw):
+    """Flows with atoms on 1-4 routes from A to B, whose arrival curves come
+    from a pool of at most three (so routes can tie exactly), and on the one
+    route from A to C."""
+    pool = draw(st.lists(arrival_curve_st(), min_size=1, max_size=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    curves = [draw(st.sampled_from(pool)) for _ in range(n)] + [draw(arrival_curve_st())]
+    rids = [f"b{k}" for k in range(n)] + ["c0"]
+    arcs = {r: Arc("A", "B" if r[0] == "b" else "C", ConstantModel(1.0)) for r in rids}
+    net = Network(arcs, {r: (r,) for r in rids})
+    arrivals = {r: ExitTimeCurve(c.xs, c.ys, c.lo_slope, c.hi_slope) for r, c in zip(rids, curves)}
+    flows = {r: draw(flows_st()) for r in rids}
+    return net, flows, TravelTimePattern(arrivals, Horizon(16.0))
+
+
+@given(gap_case_st())
+@settings(max_examples=300, deadline=None)
+def test_wardrop_gap_matches_loop_reference_bits(case):
+    got = outcome(wardrop_gap, *case)
+    assert same_outcome(got, outcome(loop_reference.wardrop_gap, *case), same_bits)
+    assert got[0] == "raises" or type(got[1]) is float
 
 
 def test_best_options_breaks_ties_toward_the_lowest_index():
