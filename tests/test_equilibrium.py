@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynwardrop import equilibrium
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
@@ -18,7 +18,7 @@ from dynwardrop.equilibrium import (
     wardrop_gap,
 )
 from dynwardrop.errors import DegenerateDemand, NoRoute, ValidationError
-from dynwardrop.flows import CumulativeFlow, Horizon
+from dynwardrop.flows import MERGE_TOL, CumulativeFlow, Horizon
 from dynwardrop.network import Arc, Network, TravelTimePattern, load, route_times
 
 import loop_reference
@@ -89,7 +89,14 @@ def test_margins_match_bin_by_bin():
 def induced_case_st(draw):
     """Piecewise demand on [0, 8], edges that may leave some of it outside,
     and per-bin shares of 1-3 routes, some of them zero and none so small
-    that a piece's mass underflows."""
+    that a piece's mass underflows.
+
+    Distinct instants of the demand and the edges are rounding twins or lie
+    farther apart than ``MERGE_TOL``: the loop reference sums the windows with
+    ``sum_flows``, whose clusters move mass by up to rate * ``MERGE_TOL``
+    (``test_sum_flows_keeps_mass_of_a_first_cluster_over_distinct_instants``);
+    ``test_induced_flows_keep_demand_instants_closer_than_merge_tol`` covers
+    such a demand."""
     segs = draw(st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=6.0),
@@ -101,6 +108,9 @@ def induced_case_st(draw):
     q = CumulativeFlow.piecewise_rate([(a, a + w, r) for a, w, r in segs])
     widths = draw(st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=16))
     edges = draw(st.floats(min_value=-1.0, max_value=4.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    ts = np.union1d(q.times, edges)
+    gaps = np.diff(ts)
+    assume(np.all((gaps > MERGE_TOL) | (gaps <= 4 * np.spacing(ts[1:]))))
     routes = draw(st.integers(min_value=1, max_value=3))
     raw = np.array(draw(st.lists(
         st.sampled_from([0.0, 1.0]) | st.floats(min_value=1e-9, max_value=1.0),
@@ -134,6 +144,20 @@ def test_induced_flows_split_the_demand_density(case):
         assert f.value(float(edges[-1])) == f.total
         assert curve_linf(f, want[rid]) <= 1e-12 * scale
     assert margin_error(net, dem, flows, edges) < 1e-12
+
+
+def test_induced_flows_keep_demand_instants_closer_than_merge_tol():
+    # demand vertices at 0 and 1e-9, and at 1 and its rounding twin: the one
+    # pass reads the demand's densities and returns the demand itself, where
+    # summing its windows with sum_flows would merge 0 and 1e-9 and read 2e-9
+    # away from it
+    q = CumulativeFlow.piecewise_rate([(0.0, 1.0, 1.0), (1e-9, np.nextafter(1.0, 2.0), 1.0)])
+    net = parallel({"r0": ConstantModel(1.0)})
+    dem = DemandTable({("A", "B"): q}, Horizon(8.0))
+    edges = np.array([0.0, 1.0, 2.0])
+    flows = induced_flows(net, dem, {("A", "B"): np.ones((1, 2))}, edges)
+    assert same_flow_bits(flows["r0"], q)
+    assert margin_error(net, dem, flows, edges) == 0.0
 
 
 # -- gap --------------------------------------------------------------------------
