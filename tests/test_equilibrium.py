@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynwardrop import equilibrium
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
@@ -18,7 +18,7 @@ from dynwardrop.equilibrium import (
     wardrop_gap,
 )
 from dynwardrop.errors import DegenerateDemand, NoRoute, ValidationError
-from dynwardrop.flows import MERGE_TOL, CumulativeFlow, Horizon
+from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import Arc, Network, TravelTimePattern, load, route_times
 
 import loop_reference
@@ -89,14 +89,7 @@ def test_margins_match_bin_by_bin():
 def induced_case_st(draw):
     """Piecewise demand on [0, 8], edges that may leave some of it outside,
     and per-bin shares of 1-3 routes, some of them zero and none so small
-    that a piece's mass underflows.
-
-    Distinct instants of the demand and the edges are rounding twins or lie
-    farther apart than ``MERGE_TOL``: the loop reference sums the windows with
-    ``sum_flows``, whose clusters move mass by up to rate * ``MERGE_TOL``
-    (``test_sum_flows_keeps_mass_of_a_first_cluster_over_distinct_instants``);
-    ``test_induced_flows_keep_demand_instants_closer_than_merge_tol`` covers
-    such a demand."""
+    that a piece's mass underflows."""
     segs = draw(st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=6.0),
@@ -108,9 +101,6 @@ def induced_case_st(draw):
     q = CumulativeFlow.piecewise_rate([(a, a + w, r) for a, w, r in segs])
     widths = draw(st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=16))
     edges = draw(st.floats(min_value=-1.0, max_value=4.0)) + np.concatenate([[0.0], np.cumsum(widths)])
-    ts = np.union1d(q.times, edges)
-    gaps = np.diff(ts)
-    assume(np.all((gaps > MERGE_TOL) | (gaps <= 4 * np.spacing(ts[1:]))))
     routes = draw(st.integers(min_value=1, max_value=3))
     raw = np.array(draw(st.lists(
         st.sampled_from([0.0, 1.0]) | st.floats(min_value=1e-9, max_value=1.0),
@@ -432,20 +422,34 @@ def _three_arc_instance():
     return net, dem, SolverConfig(bin_width=0.25, max_iters=40, tolerance=1e-9)
 
 
-def _corridor_instance():
-    # the acceptance corridor, cut to 60 iterations
+def _corridor_instance(bin_width=4.0 / 128, max_iters=60, tolerance=1e-4):
+    # the acceptance corridor, by default cut to 60 iterations
     net = parallel({"fast": ConstantModel(1.0), "jam": BottleneckModel(0.5, 1.0)})
-    return net, demand_one(2.0), SolverConfig(bin_width=4.0 / 128, max_iters=60, tolerance=1e-4)
+    return net, demand_one(2.0), SolverConfig(bin_width=bin_width, max_iters=max_iters, tolerance=tolerance)
 
 
-@pytest.mark.parametrize("instance", [_three_arc_instance, _corridor_instance])
+def _affine_pair_instance(bin_width: float, max_iters: int, tolerance: float):
+    # acceptance tests 8 and 11: two identical volume-delay routes
+    net = parallel({"p1": ArcPerformanceModel.affine(1.0, 0.5), "p2": ArcPerformanceModel.affine(1.0, 0.5)})
+    return net, demand_one(2.0), SolverConfig(bin_width=bin_width, max_iters=max_iters, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("instance", [
+    _three_arc_instance,
+    _corridor_instance,
+    pytest.param(lambda: _corridor_instance(0.25, 40, 1e-9), id="acceptance_11_corridor"),
+    pytest.param(lambda: _affine_pair_instance(0.125, 200, 1e-3), id="acceptance_8"),
+    pytest.param(lambda: _affine_pair_instance(0.25, 40, 1e-9), id="acceptance_11_pair"),
+])
 def test_route_solver_matches_loop_reference_bits(instance, monkeypatch):
+    # the reference run also scores every state it visits with the loop gap
     got = solve_wardrop(*instance())
     with monkeypatch.context() as m:
         m.setattr(equilibrium, "induced_flows", loop_reference.induced_flows)
         m.setattr(equilibrium, "margin_error", loop_reference.margin_error)
         m.setattr(equilibrium, "_class_utilities", loop_reference.route_utilities)
         m.setattr(equilibrium, "_best_options", loop_reference.best_options)
+        m.setattr(equilibrium, "wardrop_gap", loop_reference.wardrop_gap)
         want = solve_wardrop(*instance())
     assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])
     assert type(got.gap) is float and all(type(g) is float for _, g in got.gap_trace)
@@ -455,51 +459,6 @@ def test_route_solver_matches_loop_reference_bits(instance, monkeypatch):
         assert same_bits(got.splits[od], want.splits[od])
     for rid in want.flows:
         assert same_flow_bits(got.flows[rid], want.flows[rid])
-
-
-def _affine_pair_instance(bin_width: float, max_iters: int, tolerance: float):
-    # acceptance tests 8 and 11: two identical volume-delay routes
-    net = Network(
-        {
-            "p1": Arc("A", "B", ArcPerformanceModel.affine(1.0, 0.5)),
-            "p2": Arc("A", "B", ArcPerformanceModel.affine(1.0, 0.5)),
-        },
-        {"r1": ("p1",), "r2": ("p2",)},
-    )
-    config = SolverConfig(bin_width=bin_width, max_iters=max_iters, tolerance=tolerance)
-    return net, demand_one(2.0), config
-
-
-def _acceptance_corridor_instance():
-    # acceptance test 11's corridor, on 1/4-wide bins
-    net = Network(
-        {"fast": Arc("A", "B", ConstantModel(1.0)), "jam": Arc("A", "B", BottleneckModel(0.5, 1.0))},
-        {"r1": ("fast",), "r2": ("jam",)},
-    )
-    return net, demand_one(2.0), SolverConfig(bin_width=0.25, max_iters=40, tolerance=1e-9)
-
-
-@pytest.mark.parametrize("instance", [
-    pytest.param(_corridor_instance, id="corridor"),
-    pytest.param(lambda: _affine_pair_instance(0.125, 200, 1e-3), id="acceptance_8"),
-    pytest.param(lambda: _affine_pair_instance(0.25, 40, 1e-9), id="acceptance_11_pair"),
-    pytest.param(_acceptance_corridor_instance, id="acceptance_11_corridor"),
-    pytest.param(_three_arc_instance, id="acceptance_11_three_arc"),
-])
-def test_wardrop_gap_matches_loop_reference_bits_along_solves(instance, monkeypatch):
-    # every state the solver visits, scored by both versions of the gap
-    pairs = []
-
-    def both(network, flows, times):
-        got = wardrop_gap(network, flows, times)
-        pairs.append((got, loop_reference.wardrop_gap(network, flows, times)))
-        return got
-
-    monkeypatch.setattr(equilibrium, "wardrop_gap", both)
-    state = solve_wardrop(*instance())
-    assert len(pairs) == state.iterations
-    assert all(type(got) is float for got, _ in pairs)
-    assert same_bits([got for got, _ in pairs], [want for _, want in pairs])
 
 
 @st.composite
