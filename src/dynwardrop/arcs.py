@@ -133,8 +133,7 @@ class BottleneckModel(ArcModel):
         exits = _point_queue_exits(arrivals, cap)
         hs = np.union1d(inflow.times, exits.times - c)
         served = exits.values(hs + c)
-        y_left = hs + c + _positive_part(inflow.left_values(hs) - served) / cap
-        y_right = hs + c + _positive_part(inflow.values(hs) - served) / cap
+        y_left, y_right = hs + c + _positive_part(np.array(inflow.limits(hs)) - served) / cap
         # (h, y_left) at every entry instant, then (h, y_right) where they
         # differ: an atom entering at h makes the curve jump there
         keep = np.ones(2 * hs.size, dtype=bool)

@@ -85,6 +85,14 @@ class PiecewiseLinearMap:
         x = np.asarray(x, dtype=float)
         return self._between(x, np.searchsorted(self.xs, x, side="left") - 1)
 
+    def sided_values(self, x, left) -> np.ndarray:
+        """``left_values`` where ``left`` holds and ``values`` elsewhere, bit
+        for bit, in one pass; ``left`` broadcasts against ``x``."""
+        x = np.asarray(x, dtype=float)
+        xs = self.xs
+        i = np.where(left, np.searchsorted(xs, x, side="left"), np.searchsorted(xs, x, side="right"))
+        return self._between(x, i - 1)
+
     def _between(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Map at x read off the piece from vertex i to vertex i + 1.
 
@@ -144,41 +152,35 @@ class PiecewiseLinearMap:
             return float(xs[k])
         return float(xs[k - 1] + (y - ys[k - 1]) * (xs[k] - xs[k - 1]) / dy)
 
-    def preimages_sup(self, y) -> np.ndarray:
-        """``preimage_sup`` at every level of ``y``, bit for bit, in one pass."""
+    def preimages(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """``(preimage_inf, preimage_sup)`` at every level of ``y``, bit for
+        bit, in one pass."""
         y = np.asarray(y, dtype=float)
         xs, ys = self.xs, self.ys
-        # the last vertex at or below y is the last whose suffix minimum is
-        k = np.searchsorted(np.minimum.accumulate(ys[::-1])[::-1], y, side="right") - 1
-        k0 = np.clip(k, 0, xs.size - 1)
-        k1 = np.minimum(k0 + 1, xs.size - 1)
-        dy = ys[k1] - ys[k0]
+        last = xs.size - 1
+        # the first vertex at or above y is the first whose prefix maximum is,
+        # the last at or below y the last whose suffix minimum is
+        first_up = np.searchsorted(np.maximum.accumulate(ys), y, side="left")
+        last_down = np.searchsorted(np.minimum.accumulate(ys[::-1])[::-1], y, side="right") - 1
+        # the pieces rising through y: inf's levels, then sup's
+        k0 = np.concatenate([np.minimum(np.maximum(first_up, 1), last) - 1,
+                             np.minimum(np.maximum(last_down, 0), last)])
+        k1 = np.minimum(k0 + 1, last)
+        x0, x1, y0 = xs[k0], xs[k1], ys[k0]
+        dy = ys[k1] - y0
         with np.errstate(all="ignore"):
-            inside = xs[k0] + (y - ys[k0]) * (xs[k1] - xs[k0]) / dy
+            inside = x0 + (np.concatenate([y, y]) - y0) * (x1 - x0) / dy
             below = xs[0] + (y - ys[0]) / self.lo_slope
             above = xs[-1] + (y - ys[-1]) / self.hi_slope
-        inside = np.where((dy <= 0) | (xs[k1] == xs[k0]), xs[k0], inside)
+        # where no piece rises through y, inf takes its right end, sup its left
+        flat = (dy <= 0) | (x1 == x0)
+        n = y.size
+        inside = np.where(flat, np.concatenate([x1[:n], x0[n:]]), inside)
         below = below if self.lo_slope > 0 else np.full(y.shape, -np.inf)
         above = above if self.hi_slope > 0 else np.full(y.shape, np.inf)
-        return np.where(y >= ys[-1], above, np.where(k < 0, below, inside))
-
-    def preimages_inf(self, y) -> np.ndarray:
-        """``preimage_inf`` at every level of ``y``, bit for bit, in one pass."""
-        y = np.asarray(y, dtype=float)
-        xs, ys = self.xs, self.ys
-        # the first vertex at or above y is the first whose prefix maximum is
-        k = np.searchsorted(np.maximum.accumulate(ys), y, side="left")
-        k1 = np.clip(k, 1, xs.size - 1)
-        k0 = k1 - 1
-        dy = ys[k1] - ys[k0]
-        with np.errstate(all="ignore"):
-            inside = xs[k0] + (y - ys[k0]) * (xs[k1] - xs[k0]) / dy
-            below = xs[0] + (y - ys[0]) / self.lo_slope
-            above = xs[-1] + (y - ys[-1]) / self.hi_slope
-        inside = np.where((dy <= 0) | (xs[k1] == xs[k0]), xs[k1], inside)
-        below = below if self.lo_slope > 0 else np.full(y.shape, -np.inf)
-        above = above if self.hi_slope > 0 else np.full(y.shape, np.inf)
-        return np.where(y <= ys[0], below, np.where(k == xs.size, above, inside))
+        inf = np.where(y <= ys[0], below, np.where(first_up == xs.size, above, inside[:n]))
+        sup = np.where(y >= ys[-1], above, np.where(last_down < 0, below, inside[n:]))
+        return inf, sup
 
     # -- calculus ----------------------------------------------------------
 
@@ -201,7 +203,7 @@ class PiecewiseLinearMap:
     def compose_after(self, inner: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
         """The map x -> self(inner(x))."""
         levels = self.xs
-        pre = np.column_stack([inner.preimages_inf(levels), inner.preimages_sup(levels)]).ravel()
+        pre = np.column_stack(inner.preimages(levels)).ravel()
         # crossings of outer kink levels inside every inner segment, so the
         # result is exact even where inner is not monotone; the levels inside
         # a segment are a run of the sorted outer kinks
@@ -215,12 +217,11 @@ class PiecewiseLinearMap:
         level = levels[np.repeat(first - run_start, count) + np.arange(seg.size)]
         cross = ixs[seg] + (level - iys[seg]) * dx[seg] / dy[seg]
         x = sorted_set(np.concatenate([ixs, pre[np.isfinite(pre)], cross]))
-        inner_l, inner_r = inner.left_values(x), inner.values(x)
+        inner_l, inner_r = inner.sided_values([x, x], [[True], [False]])
         # where inner rises into x, self is entered from the left
         rising = np.ones(x.size, dtype=bool)
         rising[1:] = inner_l[1:] > inner_r[:-1]
-        left = np.where(rising, self.left_values(inner_l), self.values(inner_l))
-        right = self.values(inner_r)
+        left, right = self.sided_values([inner_l, inner_r], [rising, np.zeros_like(rising)])
         # (x, left) at every candidate, then (x, right) where the composite jumps
         keep = np.ones(2 * x.size, dtype=bool)
         keep[1::2] = right != left

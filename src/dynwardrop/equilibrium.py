@@ -269,11 +269,11 @@ def _crossings(c1, c2) -> np.ndarray:
     """Abscissae where two piecewise-linear maps cross."""
     xs = np.unique(np.concatenate([c1.xs, c2.xs]))
     span = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
-    a, b = span[:-1], span[1:]
-    f_a = c1.values(a) - c2.values(a)
-    f_b = c1.left_values(b) - c2.left_values(b)
+    # the value at each span's start, the left limit at its end
+    ends, left = np.array([span[:-1], span[1:]]), [[False], [True]]
+    f_a, f_b = c1.sided_values(ends, left) - c2.sided_values(ends, left)
     hit = f_a * f_b < 0
-    a, b, f_a, f_b = a[hit], b[hit], f_a[hit], f_b[hit]
+    (a, b), f_a, f_b = ends[:, hit], f_a[hit], f_b[hit]
     return a + (b - a) * f_a / (f_a - f_b)
 
 
@@ -366,8 +366,9 @@ def _class_utilities(
         cross = np.array([arr.preimage_sup(cls.h_star), arr.preimage_inf(cls.h_star)])
         inner = np.concatenate([arr.xs, cross])
         pts = np.unique(np.concatenate([edges, inner[(inner > lo) & (inner < hi)]]))
-        u_a = _utilities(cls, arr.values(pts[:-1]), pts[:-1])
-        u_b = _utilities(cls, arr.left_values(pts[1:]), pts[1:])
+        # the value at each piece's start, the left limit at its end
+        ends = np.array([pts[:-1], pts[1:]])
+        u_a, u_b = _utilities(cls, arr.sided_values(ends, [[False], [True]]), ends)
         pieces = 0.5 * (u_a + u_b) * (pts[1:] - pts[:-1])
         # bincount adds each bin's pieces one at a time, left to right, from
         # 0.0, so a bin's sum rounds exactly as a running total would

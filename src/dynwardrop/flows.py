@@ -238,17 +238,20 @@ class CumulativeFlow:
 
     def left_values(self, hs) -> np.ndarray:
         """``left_value`` at every point of ``hs``, bit for bit, in one pass."""
+        return self.limits(hs)[0]
+
+    def limits(self, hs) -> tuple[np.ndarray, np.ndarray]:
+        """``(left_values(hs), values(hs))``, bit for bit, with one search."""
         hs = np.asarray(hs, dtype=float)
         if self.is_zero:
-            return np.zeros(hs.shape)
-        j = np.searchsorted(self.times, hs, side="left")
-        at = np.minimum(j, self.times.size - 1)
-        on_vertex = (j < self.times.size) & (self.times[at] == hs)
-        k = np.maximum(j - 1, 0)
-        inside = self.cums[k] + self.slopes[k] * (hs - self.times[k])
-        return np.where(
-            on_vertex, self.cums[at] - self.atoms[at], np.where(j < 1, 0.0, inside)
-        )
+            return np.zeros(hs.shape), np.zeros(hs.shape)
+        i = np.searchsorted(self.times, hs, side="right") - 1
+        k = np.maximum(i, 0)
+        right = np.where(i < 0, 0.0, self.cums[k] + self.slopes[k] * (hs - self.times[k]))
+        # off a vertex both sides are the same interpolation; on one, the
+        # left limit leaves out the atom sitting there
+        on_vertex = (i >= 0) & (self.times[k] == hs)
+        return np.where(on_vertex, self.cums[k] - self.atoms[k], right), right
 
     def atom_mass(self, h: float) -> float:
         """Point mass sitting exactly at h."""
@@ -435,8 +438,8 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     # Sample (exit time, cumulative mass, entry time) vertices.  Each entry
     # instant u contributes its left limit, a flat stretch across any jump of
     # the map, and a vertical rise for an atom of the flow.
-    tl, tr = curve.left_values(us), curve.values(us)
-    ml, mr = flow.left_values(us), flow.values(us)
+    tl, tr = curve.sided_values([us, us], [[True], [False]])
+    ml, mr = flow.limits(us)
     keep = np.column_stack([np.ones(us.size, dtype=bool), tr > tl, mr > ml]).ravel()
     taus = np.column_stack([tl, tr, tr]).ravel()[keep].tolist()
     masses = np.column_stack([ml, ml, mr]).ravel()[keep].tolist()

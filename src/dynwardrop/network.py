@@ -142,8 +142,8 @@ def _route_share(route_flow: CumulativeFlow, total_flow: CumulativeFlow) -> tupl
     """
     ts = np.union1d(route_flow.times, total_flow.times)
     # left limit, then value, at every instant
-    m_all = np.column_stack([total_flow.left_values(ts), total_flow.values(ts)]).ravel()
-    c_all = np.column_stack([route_flow.left_values(ts), route_flow.values(ts)]).ravel()
+    m_all = np.column_stack(total_flow.limits(ts)).ravel()
+    c_all = np.column_stack(route_flow.limits(ts)).ravel()
     ms: list[float] = [0.0]
     cs: list[float] = [0.0]
     for m, c in zip(m_all.tolist(), c_all.tolist()):
@@ -186,11 +186,7 @@ def flowing(
         taus_a = sorted_set(taus[np.isfinite(taus)])
         # route mass as a function of total mass, flat beyond both ends
         share = PiecewiseLinearMap(ms, cs, 0.0, 0.0)
-        out[r] = CumulativeFlow.from_vertices(
-            taus_a,
-            share.values(exit_total.left_values(taus_a)),
-            share.values(exit_total.values(taus_a)),
-        )
+        out[r] = CumulativeFlow.from_vertices(taus_a, *share.values(exit_total.limits(taus_a)))
     return out, profile, total
 
 

@@ -106,6 +106,42 @@ def test_batched_map_evaluation_matches_scalar_bits(m, extra):
     _assert_batched_map_bits(m, probe_points(m.xs, extra))
 
 
+@given(flows_st(), probe_st)
+@example(CumulativeFlow.zero(), [-1.0, 2.5])
+@example(CumulativeFlow.atom_at(1.0, 2.0), [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+@settings(max_examples=300, deadline=None)
+def test_flow_limits_match_one_sided_bits(f, extra):
+    # atoms; points on, between and outside the vertices; the zero flow; no points
+    for hs in (probe_points(f.times, extra), np.empty(0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            left, right = f.limits(hs)
+        assert same_bits(right, f.values(hs))
+        assert same_bits(left, [f.left_value(h) for h in hs])
+        assert same_bits(right, [f.value(h) for h in hs])
+
+
+@given(maps_st() | maps_st(monotone=True), probe_st, st.lists(st.booleans(), min_size=1))
+@example(  # jumps, a flat piece and flat extensions
+    PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 3.0, 0.0, 0.0]), 0.0, 0.0),
+    [1.0, 2.0], [False, True],
+)
+@example(PiecewiseLinearMap(np.array([1.0]), np.array([2.0]), 0.0, 0.0), [1.0, 0.5, 3.0], [True, False])
+@settings(max_examples=300, deadline=None)
+def test_sided_map_values_match_scalar_bits(m, extra, sides):
+    # repeated abscissae, flat pieces, zero boundary slopes, a single vertex;
+    # a left limit or a value at each point, and both at every point
+    xs = probe_points(m.xs, extra)
+    left = np.resize(np.array(sides), xs.size)
+    want = [m.left_value(x) if lft else m.value(x) for x, lft in zip(xs, left)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = m.sided_values(xs, left)
+        both = m.sided_values([xs, xs], [[True], [False]])
+    assert same_bits(got, want)
+    assert same_bits(both, [[m.left_value(x) for x in xs], [m.value(x) for x in xs]])
+
+
 @given(maps_st(), st.floats(min_value=1e-9, max_value=10.0))
 @example(PiecewiseLinearMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0, 0.0), 1.0)
 @settings(max_examples=100, deadline=None)
@@ -428,13 +464,15 @@ def _same_map_bits(got, want) -> bool:
 
 @given(maps_st(), st.lists(y_st, max_size=6))
 @example(PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 3.0, 0.0, 0.0]), 0.0, 0.0), [0.0, 1.0, 3.0])
+# a jump from -0.0 to 0.0: inf lands on the jump's right end, sup on its left
+@example(PiecewiseLinearMap(np.array([-0.0, 0.0]), np.array([0.0, 1.0]), 1.0, 1.0), [])
 @settings(max_examples=300, deadline=None)
 def test_batched_preimages_match_scalar_bits(m, extra):
     # levels at the vertices, between them, beyond both ends; flat and zero slopes
     levels = probe_points(np.sort(m.ys), extra)
     with warnings.catch_warnings():  # the batch divides by zero only in discarded branches
         warnings.simplefilter("error", RuntimeWarning)
-        sups, infs = m.preimages_sup(levels), m.preimages_inf(levels)
+        infs, sups = m.preimages(levels)
     assert same_bits(sups, [m.preimage_sup(float(y)) for y in levels])
     assert same_bits(infs, [m.preimage_inf(float(y)) for y in levels])
 
