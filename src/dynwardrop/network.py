@@ -1,24 +1,18 @@
 """Network loading: propagate route inflows into per-arc flows and times.
 
-The routes order the arcs: an arc precedes the arc a route enters next.  When
-that precedence is acyclic, an arc's inflow is final once its upstream arcs
-are done, so the loader serves each arc once, in topological order.
-
-On cyclic precedence, or when a frontier step is given explicitly, the loader
-runs the construction of the existence proof instead: it advances a frontier
-in steps of the network's smallest arc travel-time floor.  At each step every
-arc's outflow is recomputed from the inflows discovered so far and truncated at
-the frontier; because no arc can be traversed faster than that floor,
-everything behind the frontier is already settled.  The procedure stabilizes
-once all mass has left its route.
-
-Both paths reach the same fixed point, bit for bit on acyclic networks: a
+The loader runs the construction of the existence proof: a frontier advances
+in steps of the network's smallest arc travel-time floor, and since no arc can
+be traversed faster than that floor, every outflow is settled behind it.  When
+the routes order the arcs acyclically (an arc precedes the arc a route enters
+next), one pass in that order with an infinite frontier settles them all.  The
+result is the fixed point, the same bits at any step on acyclic networks: a
 bundle that satisfies the per-arc exit-flow equations at the solvers' exact
 piecewise-linear resolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -196,7 +190,7 @@ def _mass_preimages(flow: CumulativeFlow, m: np.ndarray) -> np.ndarray:
         return np.full(m.shape, np.nan)
     times, cums = flow.times, flow.cums
     j = np.searchsorted(cums, m, side="left")
-    i = np.clip(j, 1, times.size - 1)
+    i = np.minimum(np.maximum(j, 1), times.size - 1)
     slope = flow.slopes[i - 1]
     with np.errstate(all="ignore"):
         rising = times[i - 1] + (m - cums[i - 1]) / slope
@@ -214,108 +208,80 @@ def load(
 ) -> ArcFlowBundle:
     """Propagate route inflows through the network until all mass has exited.
 
-    Without a frontier step, on a network whose arc precedence is acyclic
-    (``Network.loading_order``), each arc is served once, in that order, and
-    hands each route's outflow to the route's next arc.
-
-    Otherwise, each pass recomputes, for every route position, the upstream
-    arc's outflow from the previous pass's bundle and truncates it at a
+    Each pass serves every arc once, in ``Network.loading_order`` when it
+    exists and in declaration order otherwise: one ``flowing`` call where some
+    route goes on, the total's exit profile alone where every route ends.  It
+    hands each route's outflow to the route's next arc, truncated at a
     frontier that advances by ``frontier_step`` (default: the network's
-    smallest travel-time floor).  Once the frontier clears every exit,
-    consecutive bundles are identical and the fixed point has been reached.
+    smallest travel-time floor) per pass.  A pass reads the inflows handed on
+    earlier in the same pass, not the previous pass's: those are settled up
+    to the frontier all the same, so the loop stays causal and reaches the
+    same fixed point.  It stops once a pass changes no handed-on inflow and
+    every route's mass has reached its last arc.
+
+    Without a frontier step on acyclic precedence, the frontier is infinite:
+    each arc's inflow is final when it is served, and one pass loads it all.
 
     Raises:
+        ValueError: ``frontier_step`` is not positive.
         NonTermination: the frontier exceeded the passage-time budget, which
             indicates an arc model without a finite passage envelope.
     """
     x = {r: route_flows.get(r, CumulativeFlow.zero()) for r in network.routes}
     order = network.loading_order
     if frontier_step is None and order is not None:
-        return _load_in_order(network, x, order)
-    return _load_by_frontier(network, x, frontier_step)
-
-
-def _load_in_order(
-    network: Network, x: RouteFlowPattern, order: tuple[str, ...]
-) -> ArcFlowBundle:
-    """Each arc served once, upstream arcs first: one ``flowing`` call where
-    some route goes on, the total's exit profile alone where all routes end."""
+        step = budget = math.inf
+    else:
+        step = network.t_min_star if frontier_step is None else float(frontier_step)
+        if step <= 0:
+            raise ValueError("frontier step must be positive")
+        total_mass = sum(f.total for f in x.values())
+        horizon_end = max((f.times[-1] for f in x.values() if not f.is_zero), default=0.0)
+        budget = horizon_end + network.passage_bound(total_mass) + 1.0 + step
+        tiny = 1e-12 * (1.0 + total_mass)
     crossings = network.crossings
-    inflows = {aid: dict.fromkeys(routes) for aid, routes in crossings.items()}
-    for rid, arc_ids in network.routes.items():
-        inflows[arc_ids[0]][rid] = x[rid]
+    inflows = {
+        aid: dict.fromkeys(routes, CumulativeFlow.zero()) for aid, routes in crossings.items()
+    }
     totals = dict.fromkeys(network.arcs)
     profiles = dict.fromkeys(network.arcs)
-    for aid in order:
-        model = network.arcs[aid].model
-        if all(nxt is None for nxt in crossings[aid].values()):
-            # nothing reads a per-route split of the outflow here
-            totals[aid] = sum_flows(list(inflows[aid].values()))
-            profiles[aid] = model.exit_profile(totals[aid])
-            continue
-        outflows, profiles[aid], totals[aid] = flowing(model, inflows[aid])
-        for rid, nxt in crossings[aid].items():
-            if nxt is not None:
-                inflows[nxt][rid] = outflows[rid]
-    return ArcFlowBundle(inflows, totals, profiles)
 
+    def hand_on(flow: CumulativeFlow, aid: str, rid: str) -> None:
+        """Make the flow, truncated at the frontier, the route's inflow to the arc."""
+        nonlocal settled
+        if frontier < math.inf:  # the restriction at infinity is the flow itself
+            flow = flow.restrict(frontier)
+        settled = settled and flow == inflows[aid][rid]
+        inflows[aid][rid] = flow
 
-def _load_by_frontier(
-    network: Network, x: RouteFlowPattern, frontier_step: float | None
-) -> ArcFlowBundle:
-    """The t_min* frontier construction; see ``load``."""
-    step = network.t_min_star if frontier_step is None else float(frontier_step)
-    if step <= 0:
-        raise ValueError("frontier step must be positive")
-    total_mass = sum(f.total for f in x.values())
-    horizon_end = max((f.times[-1] for f in x.values() if not f.is_zero), default=0.0)
-    budget = horizon_end + network.passage_bound(total_mass) + 1.0 + step
-
-    empty = {
-        aid: dict.fromkeys(routes, CumulativeFlow.zero())
-        for aid, routes in network.crossings.items()
-    }
-    tiny = 1e-12 * (1.0 + total_mass)
-    bundle = {aid: dict(d) for aid, d in empty.items()}
     frontier = 0.0
     while frontier <= budget:
         frontier += step
-        new_bundle = {aid: dict(d) for aid, d in empty.items()}
-        outflow_cache: dict[str, dict[str, CumulativeFlow]] = {}
+        settled = True  # no inflow handed on in this pass has changed
         for rid, arc_ids in network.routes.items():
-            new_bundle[arc_ids[0]][rid] = x[rid].restrict(frontier)
-            for prev, nxt in zip(arc_ids[:-1], arc_ids[1:]):
-                if prev not in outflow_cache:
-                    outflow_cache[prev], _, _ = flowing(
-                        network.arcs[prev].model, bundle[prev]
-                    )
-                new_bundle[nxt][rid] = outflow_cache[prev][rid].restrict(frontier)
-        # done only when stable AND every route's mass reached its last arc
-        # (curves can stall for a while between separated inflow pulses)
-        arrived = all(
-            new_bundle[arc_ids[-1]][rid].total >= x[rid].total - tiny
+            hand_on(x[rid], arc_ids[0], rid)
+        for aid in order or network.arcs:
+            model = network.arcs[aid].model
+            if all(nxt is None for nxt in crossings[aid].values()):
+                # nothing reads a per-route split of the outflow here
+                totals[aid] = sum_flows(list(inflows[aid].values()))
+                profiles[aid] = model.exit_profile(totals[aid])
+                continue
+            outflows, profiles[aid], totals[aid] = flowing(model, inflows[aid])
+            for rid, nxt in crossings[aid].items():
+                if nxt is not None:
+                    hand_on(outflows[rid], nxt, rid)
+        # a settled pass ends the loop only once all mass has arrived: curves
+        # can stall for a while between separated inflow pulses
+        if frontier == math.inf or settled and all(
+            inflows[arc_ids[-1]][rid].total >= x[rid].total - tiny
             for rid, arc_ids in network.routes.items()
-        )
-        if arrived and _bundles_equal(bundle, new_bundle):
-            totals = {aid: sum_flows(list(d.values())) for aid, d in new_bundle.items()}
-            profiles = {
-                aid: network.arcs[aid].model.exit_profile(totals[aid])
-                for aid in network.arcs
-            }
-            return ArcFlowBundle(new_bundle, totals, profiles)
-        bundle = new_bundle
+        ):
+            return ArcFlowBundle(inflows, totals, profiles)
     raise NonTermination(
         f"loading frontier passed its budget of {budget:.3g}; "
         "an arc is holding mass beyond its finiteness envelope"
     )
-
-
-def _bundles_equal(a, b) -> bool:
-    for aid, d in a.items():
-        for rid, f in d.items():
-            if not (f == b[aid][rid]):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

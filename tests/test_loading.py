@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from dynwardrop import arcs as arcs_module
 from dynwardrop import flows as flows_module
 from dynwardrop import network as network_module
-from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
-from dynwardrop.curves import PiecewiseLinearMap
-from dynwardrop.errors import InstanceTooLarge, ValidationError
+from dynwardrop.arcs import (
+    ArcModel, ArcPerformanceModel, BottleneckModel, ConstantModel, ExitProfile,
+)
+from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
+from dynwardrop.errors import InstanceTooLarge, NonTermination, ValidationError
 from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import (
     Arc,
@@ -273,6 +275,18 @@ def _counting_flowing(monkeypatch) -> list:
     return calls
 
 
+def _counting_exit_profiles(monkeypatch) -> list:
+    """Count the arc exit profiles built, by ``load`` itself or by ``flowing``."""
+    calls = []
+    for model_class in (ConstantModel, BottleneckModel, ArcPerformanceModel):
+        def counted(model, inflow, _exit_profile=model_class.exit_profile):
+            calls.append(model)
+            return _exit_profile(model, inflow)
+
+        monkeypatch.setattr(model_class, "exit_profile", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "fx",
     acceptance_fixtures() + [ladder_fixture(2), ladder_fixture(3), spur_fixture()],
@@ -282,6 +296,7 @@ def test_topological_and_frontier_loaders_agree_bit_for_bit(fx, monkeypatch):
     net = fx.network
     assert net.loading_order is not None
     calls = _counting_flowing(monkeypatch)
+    profiles = _counting_exit_profiles(monkeypatch)
     ordered = load(net, fx.flows)
     # one pass: each arc that some route goes on from is served once by
     # flowing; where every route ends, only the total's exit profile is built
@@ -292,12 +307,13 @@ def test_topological_and_frontier_loaders_agree_bit_for_bit(fx, monkeypatch):
     ]
     assert len(calls) == len(goes_on) < len(net.arcs)
     assert calls == goes_on
+    assert len(profiles) == len(net.arcs)
 
-    def one_pass(*args):
-        raise AssertionError("an explicit frontier step must run the frontier loop")
-
-    monkeypatch.setattr(network_module, "_load_in_order", one_pass)
+    # an explicit step runs the frontier loop: every pass builds every arc's
+    # exit profile once, and the loop ends on a pass that changed nothing
+    profiles.clear()
     stepped = load(net, fx.flows, frontier_step=net.t_min_star)
+    assert len(profiles) >= 2 * len(net.arcs)
     for aid in net.arcs:
         assert list(ordered.inflows[aid]) == list(stepped.inflows[aid])
         for rid in ordered.inflows[aid]:
@@ -325,6 +341,37 @@ def test_cyclic_precedence_loads_by_frontier(monkeypatch):
             assert curve_linf(bundle.inflow(aid, rid), fine.inflow(aid, rid)) < 1e-9
     with pytest.raises(InstanceTooLarge):
         oracle_load(net, fx.flows, GridConfig(net.t_min_star / 8))
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_nonpositive_frontier_step_rejected(step):
+    net = shared_bottleneck()
+    x = {"r1": CumulativeFlow.constant_rate(0.0, 1.0, 1.0)}
+    with pytest.raises(ValueError):
+        load(net, x, frontier_step=step)
+
+
+class _HoldingModel(ArcModel):
+    """Declares a finite passage envelope but never lets any mass out."""
+
+    kind = "holding"
+    t_min = 0.5
+
+    def t_max(self, mass: float) -> float:
+        return 1.0
+
+    def exit_profile(self, inflow: CumulativeFlow) -> ExitProfile:
+        return ExitProfile(ExitTimeCurve.shift(1.0), CumulativeFlow.zero())
+
+
+def test_mass_held_past_the_passage_budget_stops_the_frontier():
+    net = Network(
+        arcs={"hold": Arc("A", "B", _HoldingModel()), "c": Arc("B", "C", ConstantModel(1.0))},
+        routes={"r": ("hold", "c")},
+    )
+    x = {"r": CumulativeFlow.constant_rate(0.0, 1.0, 1.0)}
+    with pytest.raises(NonTermination):
+        load(net, x, frontier_step=net.t_min_star)
 
 
 def _loaded_arrays(fx) -> list[np.ndarray]:
