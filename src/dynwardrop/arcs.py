@@ -9,7 +9,8 @@ Three concrete models are provided.
   delay, so the on-arc volume at h is known when the sweep reaches h.  The
   sweep steps from event to event (inflow vertices, kinks of the cumulative
   exits, crossings of the delay function's breakpoints), and between events
-  all curves are linear, so the construction is exact (no time grid).
+  all curves are linear, so the construction is exact (no time grid).  The
+  exits it builds are the arc's outflow: no second pass pushes inflow forward.
 * ``BottleneckModel``: a free-flow time followed by a server of finite
   capacity; a point queue forms whenever arrivals outrun the capacity.  The
   exit curve is built from the exact cumulative arrival/departure balance.
@@ -32,6 +33,7 @@ import numpy as np
 
 from .curves import ExitTimeCurve, PiecewiseLinearMap
 from .errors import FifoViolation, ModelParameterError, NonTermination
+# pushforward is bound here for the benchmark's tracer only (ROADMAP item 6)
 from .flows import MERGE_TOL, CumulativeFlow, Horizon, pushforward, sum_flows
 
 
@@ -266,15 +268,16 @@ class ArcPerformanceModel(ArcModel):
         # every user has left by h_last + t_max(total); the sweep gives up
         # another t_max(total) + 8 t_min later
         h_limit = float(inflow.times[-1]) + 2.0 * self.t_max(inflow.total) + 8.0 * d_min
-        xs, ys = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
+        xs, ys, et, e_lo, e_hi = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
         curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
-        return ExitProfile(curve, pushforward(inflow, curve))
+        return ExitProfile(curve, CumulativeFlow.from_vertices(et, e_lo, e_hi))
 
 
 def _volume_exit_sweep(
     inflow: CumulativeFlow, dmap: PiecewiseLinearMap, h_limit: float
-) -> tuple[list[float], list[float]]:
-    """Vertices of the exit map h -> h + delay(volume on the arc at h).
+) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
+    """Vertices ``(xs, ys)`` of the exit map h -> h + delay(volume on the arc
+    at h), and the grouped vertices ``(et, e_lo, e_hi)`` of the exits E.
 
     One sweep over entry time h.  The volume is A - E, inflow minus exits.
     Every exit at time h stems from an entry before h - t_min, so the exits
@@ -286,7 +289,8 @@ def _volume_exit_sweep(
     ``pushforward``'s rule, except that a vertex of E that changes no mass
     on either side moves on instead of staying as an event.  The sweep ends
     once every inflow vertex is done and E holds the total; beyond, the map
-    extends with slope 1.
+    extends with slope 1.  E is the arc's outflow; ``pushforward`` of the
+    inflow under the map reads it again, up to rounding in its exit times.
 
     FIFO is checked as ``pushforward`` checks it, against the exit front at
     samples: the events, and the instants h0 + k * t_min before the inflow
@@ -436,7 +440,7 @@ def _volume_exit_sweep(
             ys.append(y_left)
         sample(y_left, y_right, a_left, a_right)
         if i == n and e_right >= total - 1e-12 * (1.0 + total):
-            return xs, ys
+            return xs, ys, et, e_lo, e_hi
 
         # the next vertex of A or E, and the left limits there
         t_a = ts[i] if i < n else math.inf

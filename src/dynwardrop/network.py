@@ -138,15 +138,11 @@ def _route_share(route_flow: CumulativeFlow, total_flow: CumulativeFlow) -> tupl
     # left limit, then value, at every instant
     m_all = np.column_stack(total_flow.limits(ts)).ravel()
     c_all = np.column_stack(route_flow.limits(ts)).ravel()
-    ms: list[float] = [0.0]
-    cs: list[float] = [0.0]
-    for m, c in zip(m_all.tolist(), c_all.tolist()):
-        if m > ms[-1]:
-            ms.append(m)
-            cs.append(c)
-        elif c > cs[-1]:
-            cs[-1] = c
-    return np.array(ms), np.array(cs)
+    # a vertex opens where the total passes 0 and every earlier total; its
+    # route mass is the largest read before the next vertex opens
+    opens = np.flatnonzero(m_all > np.maximum.accumulate(np.append(0.0, m_all[:-1])))
+    cs = np.maximum.reduceat(np.append(0.0, c_all), np.append(0, opens + 1))
+    return np.append(0.0, m_all[opens]), cs
 
 
 def flowing(

@@ -28,7 +28,7 @@ from fixtures import (
     acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture, spur_fixture,
 )
 from helpers import curve_linf, knot_linf, same_bits, same_flow_bits
-from strategies import bottlenecks_st, flows_st, probe_points
+from strategies import bottlenecks_st, clustered_parts_st, flows_st, probe_points
 
 
 def two_constant_chain() -> Network:
@@ -144,6 +144,17 @@ def test_flowing_split_matches_loop_reference_bits(inputs):
         assert same_flow_bits(got[r], want[r])
     assert same_flow_bits(got_profile.outflow, want_profile.outflow)
     assert same_flow_bits(got_total, want_total)
+
+
+@given(st.lists(flows_st(), min_size=1, max_size=4) | clustered_parts_st(), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_route_share_matches_loop_reference_bits(parts, k):
+    # the route is one of the summed parts; summing merges breakpoints closer
+    # than MERGE_TOL, so the route can have vertices the total lacks
+    route, total = parts[k % len(parts)], flows_module.sum_flows(parts)
+    got = network_module._route_share(route, total)
+    want = loop_reference._route_share(route, total)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 @given(flows_st(), st.lists(st.floats(min_value=-1.0, max_value=30.0), max_size=6))
@@ -404,8 +415,6 @@ def test_loading_matches_loop_reference_bits(fx, monkeypatch):
         m.setattr(PiecewiseLinearMap, "compose_after", loop_reference.compose_after)
         for module in (flows_module, arcs_module, network_module):
             m.setattr(module, "sum_flows", loop_reference.sum_flows)
-        for module in (flows_module, arcs_module):
-            m.setattr(module, "pushforward", loop_reference.pushforward)
         m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
         m.setattr(network_module, "flowing", loop_reference.flowing)
         want = _loaded_arrays(fx)
