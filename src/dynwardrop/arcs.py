@@ -13,7 +13,8 @@ Three concrete models are provided.
   exits it builds are the arc's outflow: no second pass pushes inflow forward.
 * ``BottleneckModel``: a free-flow time followed by a server of finite
   capacity; a point queue forms whenever arrivals outrun the capacity.  The
-  exit curve is built from the exact cumulative arrival/departure balance.
+  cumulative departures are Newell's closed form, read at the arrivals'
+  vertices in one array pass; an entrant leaves after the queue ahead of it.
 
 Every model declares a positive lower bound ``t_min`` on its travel time and a
 finite envelope ``t_max(mass)`` valid for any inflow of that total mass, and a
@@ -34,7 +35,7 @@ import numpy as np
 from .curves import ExitTimeCurve, PiecewiseLinearMap
 from .errors import FifoViolation, ModelParameterError, NonTermination
 # pushforward is bound here for the benchmark's tracer only (ROADMAP item 6)
-from .flows import MERGE_TOL, CumulativeFlow, Horizon, pushforward, sum_flows
+from .flows import MERGE_TOL, CumulativeFlow, Horizon, _build, pushforward, sum_flows
 
 
 @dataclass(frozen=True)
@@ -128,78 +129,77 @@ class BottleneckModel(ArcModel):
         return delta / self.capacity
 
     def exit_profile(self, inflow: CumulativeFlow) -> ExitProfile:
-        c, cap = self.free_flow_time, self.capacity
+        """Newell's closed form D(t) = min over u <= t of A(u-) + mu (t - u),
+        in one array pass over the vertices of the arrivals A, the inflow
+        shifted by the free-flow time; A is linear between them.
+
+        A queue stands at a vertex when it exceeds 1e-12 (1 + total) and
+        takes a representable time to serve.  There the departures run at
+        capacity until it clears; elsewhere they follow A, atoms included.
+        """
+        c, mu = self.free_flow_time, self.capacity
         if inflow.is_zero:
             return ExitProfile(ExitTimeCurve.shift(c), CumulativeFlow.zero())
-        arrivals = inflow.shifted(c)
-        exits = _point_queue_exits(arrivals, cap)
-        hs = np.union1d(inflow.times, exits.times - c)
-        served = exits.values(hs + c)
-        y_left, y_right = hs + c + _positive_part(np.array(inflow.limits(hs)) - served) / cap
-        # (h, y_left) at every entry instant, then (h, y_right) where they
-        # differ: an atom entering at h makes the curve jump there
-        keep = np.ones(2 * hs.size, dtype=bool)
-        keep[1::2] = y_right != y_left
-        xs = np.repeat(hs, 2)[keep]
-        ys = np.column_stack([y_left, y_right]).ravel()[keep]
-        curve = ExitTimeCurve(xs, ys, 1.0, 1.0)
-        return ExitProfile(curve, exits)
+        h, cums, atoms, lam = inflow.times, inflow.cums, inflow.atoms, inflow.slopes
+        s, lefts = h + c, cums - atoms
+        ms = mu * s
+        line = ms + np.minimum.accumulate(lefts - ms)
+        queue = cums - line
+        busy = (queue > 1e-12 * (1.0 + inflow.total)) & (s + queue / mu > s)
+        depart = np.where(busy, line, cums)
+        # a queue that arrivals below capacity let clear, before the next
+        # arrival instant; after the last one, whatever stands drains
+        clears = busy & (lam < mu)
+        wait = np.zeros(s.size)
+        np.divide(queue, mu - lam, out=wait, where=clears)
+        t_clear = s + wait
+        clears[:-1] &= t_clear[:-1] < s[1:]
+
+        # outflow: vertices at the arrival instants and where a queue clears,
+        # with exact slopes (mu while a queue stands, lambda otherwise), and
+        # values capped from the right, so that none exceeds a later one
+        passed = np.where(busy, 0.0, atoms)
+        last = np.ones(s.size, dtype=bool)
+        last[:-1] = s[1:] > s[:-1]
+        if not last.all():
+            # entry instants closer than the shift's rounding arrive at once
+            passed[last] = np.where(busy[last], 0.0, cums[last] - lefts[np.roll(last, 1)])
+        times, values, out_atoms, rates = _interleave(
+            (last, clears), (s, t_clear), (depart, cums + lam * (t_clear - s)),
+            (passed, 0.0), (np.where(busy | (lam > mu), mu, lam), lam),
+        )
+        outflow = _build(times, np.minimum.accumulate(values[::-1])[::-1], out_atoms, rates)
+
+        # exit curve: (h, y_left) at each entry instant, (h, y_right) where an
+        # atom makes it jump, then (t_clear - c, t_clear) where rounding keeps
+        # that entry instant strictly inside its segment
+        y_left = s + _positive_part(lefts - depart) / mu
+        y_right = s + _positive_part(cums - depart) / mu
+        h_clear = t_clear - c
+        inside = clears & (h_clear > h)
+        inside[:-1] &= h_clear[:-1] < h[1:]
+        xs, ys = _interleave(
+            (True, y_right != y_left, inside), (h, h, h_clear), (y_left, y_right, t_clear)
+        )
+        return ExitProfile(ExitTimeCurve(xs, ys, 1.0, 1.0), outflow)
+
+
+def _interleave(keep, *rows) -> np.ndarray:
+    """Row r interleaves the columns of ``rows[r]`` entry by entry, keeping
+    ``rows[r][j][k]`` where ``keep[j][k]`` holds; scalars broadcast."""
+    n = rows[0][0].size
+    mask = np.empty((n, len(keep)), dtype=bool)
+    out = np.empty((len(rows), n, len(keep)))
+    for j, k in enumerate(keep):
+        mask[:, j] = k
+        for r, row in enumerate(rows):
+            out[r, :, j] = row[j]
+    return out.reshape(len(rows), -1)[:, mask.ravel()]
 
 
 def _positive_part(v: np.ndarray) -> np.ndarray:
     """``max(0.0, v)`` elementwise, the same bits as the scalar builtin."""
     return np.where(v > 0.0, v, 0.0)
-
-
-def _point_queue_exits(arrivals: CumulativeFlow, capacity: float) -> CumulativeFlow:
-    """Cumulative departures of a point queue served at a fixed capacity."""
-    # Python floats throughout: on curves of tens of vertices the per-call
-    # cost of numpy scalars outweighs the arithmetic
-    ts, atoms, slopes = arrivals.times.tolist(), arrivals.atoms.tolist(), arrivals.slopes.tolist()
-    tiny = 1e-12 * (1.0 + arrivals.total)
-    verts_t = [ts[0]]
-    verts_m = [0.0]
-    served = 0.0
-    queue = atoms[0]
-    for i in range(len(ts) - 1):
-        lam = slopes[i]
-        seg_end = ts[i + 1]
-        tau = ts[i]
-        while tau < seg_end:
-            if queue <= tiny and lam <= capacity:
-                served += lam * (seg_end - tau)
-                queue = 0.0
-                tau = seg_end
-            elif queue > tiny and lam < capacity:
-                t_clear = tau + queue / (capacity - lam)
-                if t_clear < seg_end:
-                    served += capacity * (t_clear - tau)
-                    queue = 0.0
-                    tau = t_clear
-                else:
-                    served += capacity * (seg_end - tau)
-                    queue += (lam - capacity) * (seg_end - tau)
-                    tau = seg_end
-            else:
-                served += capacity * (seg_end - tau)
-                queue += (lam - capacity) * (seg_end - tau)
-                tau = seg_end
-            # a vertex at (tau, served), merged into the last one at equal time
-            if tau > verts_t[-1]:
-                verts_t.append(tau)
-                verts_m.append(served)
-            elif served > verts_m[-1]:
-                verts_m[-1] = served
-        queue = max(0.0, queue) + atoms[i + 1]
-    if queue > tiny:
-        t_end = ts[-1] + queue / capacity
-        served += queue
-        if t_end > verts_t[-1]:
-            verts_t.append(t_end)
-            verts_m.append(served)
-        elif served > verts_m[-1]:
-            verts_m[-1] = served
-    return CumulativeFlow.from_cumulative_points(np.array(verts_t), np.array(verts_m))
 
 
 @dataclass(frozen=True)

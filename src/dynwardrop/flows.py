@@ -72,8 +72,8 @@ class CumulativeFlow:
 
     @staticmethod
     def zero() -> "CumulativeFlow":
-        e = np.empty(0)
-        return CumulativeFlow(e, e.copy(), e.copy(), e.copy())
+        """The zero measure: one shared instance, its arrays read-only."""
+        return _ZERO
 
     @staticmethod
     def atom_at(time: float, mass: float) -> "CumulativeFlow":
@@ -143,20 +143,6 @@ class CumulativeFlow:
         cums = np.zeros(edges.size)
         np.cumsum(rates * widths, out=cums[1:])
         return _build(edges, cums, np.zeros(edges.size), np.append(rates, 0.0))
-
-    @staticmethod
-    def from_cumulative_points(times: Sequence[float], values: Sequence[float]) -> "CumulativeFlow":
-        """Continuous flow interpolating the given nondecreasing cumulative samples."""
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.size != v.size:
-            raise ValueError("times and values must have equal length")
-        if t.size == 0 or v[-1] == 0:
-            return CumulativeFlow.zero()
-        if (v[1:] - v[:-1] < 0).any():
-            raise ValueError("cumulative values must be nondecreasing")
-        v = v - v[0]
-        return CumulativeFlow.from_vertices(t, v, v)
 
     @staticmethod
     def from_vertices(
@@ -337,6 +323,9 @@ class CumulativeFlow:
             and np.array_equal(self.atoms, other.atoms)
             and np.array_equal(self.slopes, other.slopes)
         )
+
+
+_ZERO = CumulativeFlow(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
 
 
 def _build(times, cums, atoms, slopes) -> CumulativeFlow:

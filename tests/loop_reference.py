@@ -5,10 +5,9 @@ was: one scalar ``value``/``left_value`` call per point and Python-level
 accumulation.  The tests assert that the batched paths return the same bits.
 A loop copy carries the name of the code it replaced, so ``flowing`` here
 runs on the loop copies of ``sum_flows``, ``_route_share`` and
-``_mass_preimage``, every copy that builds a flow runs on the copy of
-``_build``, and ``bottleneck_exit_profile`` on the copy of
-``_point_queue_exits``; ``compose_after`` takes the map as its first argument,
-as the method does.
+``_mass_preimage``, and every copy that builds a flow runs on the copy of
+``_build``; ``compose_after`` takes the map as its first argument, as the
+method does.
 
 ``induced_flows``, ``route_utilities``, ``best_options`` and ``margin_error``
 are the route-choice solver's parts before it shared the departure-choice
@@ -20,8 +19,11 @@ over the routes' travel times there, and one ``slope_at`` per piece.
 
 ``volume_delay_exit_profile`` is the block fixed point that the volume-delay
 sweep replaced, on the loop copies of its exit map and of ``pushforward``.
-It is an independent reference: the tests compare the sweep with it within
-a tolerance, not bit for bit.
+``bottleneck_exit_profile`` is the point queue that Newell's closed form
+replaced: ``_point_queue_exits`` steps through every arrival segment,
+keeping the served mass and the queue as running sums, and the exit curve
+is read back from those departures.  Both are independent references: the
+tests compare the arc models with them within a tolerance, not bit for bit.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def piecewise_rate(segments: Iterable[tuple[float, float, float]]) -> Cumulative
 
 
 def bottleneck_exit_profile(model, inflow: CumulativeFlow) -> ExitProfile:
-    """``BottleneckModel.exit_profile`` with one vertex per loop step."""
+    """``BottleneckModel.exit_profile`` as the point-queue loop, with one
+    vertex per loop step."""
     c, cap = model.free_flow_time, model.capacity
     if inflow.is_zero:
         return ExitProfile(ExitTimeCurve.shift(c), CumulativeFlow.zero())
@@ -134,7 +137,8 @@ def bottleneck_exit_profile(model, inflow: CumulativeFlow) -> ExitProfile:
 
 
 def _point_queue_exits(arrivals: CumulativeFlow, capacity: float) -> CumulativeFlow:
-    """``arcs._point_queue_exits`` on numpy scalars, with an ``emit`` closure."""
+    """Cumulative departures of a point queue served at a fixed capacity, one
+    arrival segment at a time on numpy scalars, with an ``emit`` closure."""
     ts, atoms, slopes = arrivals.times, arrivals.atoms, arrivals.slopes
     n = ts.size
     tiny = 1e-12 * (1.0 + arrivals.total)
@@ -184,7 +188,13 @@ def _point_queue_exits(arrivals: CumulativeFlow, capacity: float) -> CumulativeF
         t_end = float(ts[-1]) + queue / capacity
         served += queue
         emit(t_end, served)
-    return CumulativeFlow.from_cumulative_points(np.array(verts_t), np.array(verts_m))
+    # the flow through the vertices, as ``CumulativeFlow.from_cumulative_points``
+    # built it before the closed form replaced this loop
+    v = np.array(verts_m)
+    if v[-1] == 0:
+        return CumulativeFlow.zero()
+    v = v - v[0]
+    return CumulativeFlow.from_vertices(np.array(verts_t), v, v)
 
 
 def class_utilities(

@@ -37,6 +37,24 @@ def flows_st(draw, max_atoms=3):
     return sum_flows(parts)
 
 
+@st.composite
+def arrivals_st(draw):
+    """Arrival curves whose rates often equal the capacities 0.5, 1 and 2 that
+    the bottleneck tests draw, with atoms, and with vertices at least 1e-3
+    apart, so that building them merges nothing."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    gaps = st.sampled_from([0.5, 1.0]) | st.floats(min_value=1e-3, max_value=5.0)
+    t = np.cumsum([draw(st.sampled_from([0.0, 0.5]) | times_st),
+                   *draw(st.lists(gaps, min_size=n - 1, max_size=n - 1))])
+    rates = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | rate_st, min_size=n - 1, max_size=n - 1))
+    atoms = draw(st.lists(st.just(0.0) | mass_st, min_size=n, max_size=n))
+    lefts, values = [0.0], [atoms[0]]
+    for i in range(1, n):
+        lefts.append(values[-1] + rates[i - 1] * (t[i] - t[i - 1]))
+        values.append(lefts[-1] + atoms[i])
+    return CumulativeFlow.from_vertices(t, lefts, values)
+
+
 #: map ordinates; the sampled values repeat, so maps get flat pieces
 y_st = st.sampled_from([0.0, 0.5, 1.25, 2.0, 3.0]) | st.floats(min_value=-5.0, max_value=10.0)
 

@@ -1,7 +1,10 @@
 """Arc model behaviour: exit curves, travel times, conformance probes."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from dynwardrop.arcs import (
     ArcModel,
@@ -13,6 +16,9 @@ from dynwardrop.arcs import (
 from dynwardrop.curves import ExitTimeCurve
 from dynwardrop.errors import FifoViolation, ModelParameterError
 from dynwardrop.flows import CumulativeFlow, Horizon, sum_flows
+
+from helpers import slope_mismatch
+from strategies import arrivals_st, bottlenecks_st, flows_st
 
 
 # -- parameter validation -----------------------------------------------------
@@ -169,6 +175,70 @@ def test_bottleneck_outflow_never_exceeds_capacity():
         for a, b in zip(ts[:-1], ts[1:]):
             assert out.mass_between(float(a), float(b)) <= 1.5 * (b - a) + 1e-9
         assert out.total == pytest.approx(inflow.total, rel=1e-12)
+
+
+@given(flows_st() | arrivals_st(), bottlenecks_st)
+@example(  # rate equal to the capacity behind a standing queue: no queue
+    # clears, and nothing divides by mu - lambda = 0
+    sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 2.0, 1.0)]),
+    BottleneckModel(0.5, 1.0),
+)
+@example(  # a queue above 1e-12 (1 + total) that the capacity serves in less
+    # than half a unit in the last place of 1e4: it passes as an atom
+    CumulativeFlow.atom_at(1e4, 2.5e-12),
+    BottleneckModel(0.5, 3.0),
+)
+@example(  # an atom joins the queue that a rate above the capacity built
+    sum_flows([CumulativeFlow.constant_rate(0.0, 1.0, 2.0), CumulativeFlow.atom_at(0.5, 0.5)]),
+    BottleneckModel(0.5, 1.0),
+)
+@example(  # an atom too small to queue passes through free flow
+    sum_flows([CumulativeFlow.constant_rate(0.0, 2.0, 0.5), CumulativeFlow.atom_at(1.0, 1e-13)]),
+    BottleneckModel(0.5, 1.0),
+)
+@example(  # two such atoms, at entry instants one unit in the last place
+    # apart, which the shift by 3 rounds onto one arrival instant
+    CumulativeFlow.from_vertices(
+        [0.0, 1.0, 1.0 + 2**-52, 2.0],
+        [0.0, 0.5, 0.5 + 1e-13, 1.0 + 2e-13],
+        [0.0, 0.5 + 1e-13, 0.5 + 2e-13, 1.0 + 2e-13],
+    ),
+    BottleneckModel(3.0, 1.0),
+)
+@example(  # the queue clears one unit in the last place after 1 + 2u, and the
+    # entry instant of that clearing rounds back onto the atom's, 1
+    CumulativeFlow.atom_at(1.0, 2e-12),
+    BottleneckModel(5 * 2**-53, 1e4),
+)
+@settings(max_examples=300, deadline=None)
+def test_bottleneck_closed_form_properties(f, model):
+    c, mu = model.free_flow_time, model.capacity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        profile = model.exit_profile(f)
+    out, curve = profile.outflow, profile.curve
+    # mass leaves exactly, never faster than the capacity
+    assert out.total == f.total
+    assert (out.slopes <= mu).all()
+    # an atom leaves only where it joined no queue: below the tolerance, or
+    # served within one rounding of its arrival instant
+    tiny = 1e-12 * (1.0 + f.total)
+    at = out.atoms > 0.0
+    assert np.isin(out.times[at], f.times + c).all()
+    assert all(m <= tiny or t + m / mu == t for t, m in zip(out.times[at], out.atoms[at]))
+    # the stored values follow the slopes and the atoms, up to rounding at
+    # the scale of mu * s and the inflow's own value/slope mismatch: the
+    # curve never jumps without an atom
+    if not out.is_zero:
+        scale = 1.0 + f.total + mu * float(np.max(np.abs(f.times + c)))
+        assert slope_mismatch(out) <= 4 * np.finfo(float).eps * scale + slope_mismatch(f)
+    # nobody leaves before arriving
+    if not out.is_zero:
+        assert (out.cums <= f.shifted(c).values(out.times)).all()
+    # the exit curve runs forward and jumps only at an atom: no abscissa
+    # holds more than two vertices
+    assert (np.diff(curve.xs) >= 0.0).all()
+    assert np.unique(curve.xs, return_counts=True)[1].max() <= 2
 
 
 # -- shared invariants ----------------------------------------------------------

@@ -390,7 +390,6 @@ def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
     got = solve_departure_choice(*instance())
     with monkeypatch.context() as m:
         m.setattr(equilibrium, "_class_utilities", loop_reference.class_utilities)
-        m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
         m.setattr(CumulativeFlow, "from_bins", staticmethod(loop_reference.from_bins))
         want = solve_departure_choice(*instance())
     assert same_bits([g for _, g in got.gap_trace], [g for _, g in want.gap_trace])

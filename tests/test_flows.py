@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dynwardrop.arcs import ArcPerformanceModel, _point_queue_exits
+from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.errors import FifoViolation
 from dynwardrop.flows import MERGE_TOL, CumulativeFlow, _build, sum_flows, pushforward
@@ -14,9 +14,11 @@ from dynwardrop.network import load
 
 import loop_reference
 from fixtures import acceptance_fixtures, ladder_fixture
-from helpers import curve_linf, knot_linf, outcome, same_bits, same_flow_bits, same_outcome
+from helpers import (
+    curve_linf, knot_linf, outcome, same_bits, same_flow_bits, same_outcome, slope_mismatch,
+)
 from strategies import (
-    bottlenecks_st, clustered_parts_st, flows_st, maps_st, mass_st, probe_points, probe_st,
+    arrivals_st, bottlenecks_st, clustered_parts_st, flows_st, maps_st, probe_points, probe_st,
     rate_st, times_st, y_st,
 )
 
@@ -43,6 +45,16 @@ def test_out_of_support_queries_clamp():
     f = CumulativeFlow.constant_rate(1.0, 2.0, 1.0)
     assert f.value(-10.0) == 0.0
     assert f.value(100.0) == f.total
+
+
+def test_zero_is_one_shared_read_only_flow():
+    # loading shares one zero among routes and arcs, so no caller may write it
+    z = CumulativeFlow.zero()
+    assert z is CumulativeFlow.zero() is CumulativeFlow.atom_at(1.0, 0.0)
+    assert z.is_zero and z.total == 0.0 and z.value(1.0) == 0.0
+    for name in ("times", "cums", "atoms", "slopes"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(z, name)[...] = 1.0
 
 
 @given(flows_st(), times_st, times_st, times_st)
@@ -359,14 +371,30 @@ def test_from_bins_rejects_negative_mass_and_repeated_edges():
         CumulativeFlow.from_bins(np.array([0.0, 1.0, 1.0, 2.0]), np.ones(3))
 
 
+def _bottleneck_tolerance(model, f: CumulativeFlow) -> float:
+    """How far the closed-form bottleneck may lie from the point-queue loop
+    on inflow f: 1e-12 * (1 + total), plus f's own mismatch between its
+    stored values and its slopes, divided by min(1, capacity).  The closed
+    form reads the stored values at f's vertices, while the loop integrates
+    the slopes; a merged cluster of ``sum_flows`` leaves the two about
+    rate * MERGE_TOL apart, and the exit times carry that mass over the
+    capacity."""
+    return 1e-12 * (1.0 + f.total) + slope_mismatch(f) / min(1.0, model.capacity)
+
+
 @given(flows_st(), bottlenecks_st)
 @settings(max_examples=200, deadline=None)
-def test_bottleneck_exit_profile_matches_loop_reference_bits(f, model):
+def test_bottleneck_exit_profile_matches_loop_reference(f, model):
+    # Newell's closed form against the point-queue loop, an independent
+    # construction: the exit maps and the outflows agree at every knot and
+    # midpoint, and the outflow carries the inflow's total exactly
     got = model.exit_profile(f)
     want = loop_reference.bottleneck_exit_profile(model, f)
-    assert same_bits(got.curve.xs, want.curve.xs)
-    assert same_bits(got.curve.ys, want.curve.ys)
-    assert same_flow_bits(got.outflow, want.outflow)
+    tol = _bottleneck_tolerance(model, f)
+    assert knot_linf(got.curve, want.curve, np.concatenate([got.curve.xs, want.curve.xs])) <= tol
+    knots = np.concatenate([got.outflow.times, want.outflow.times, [0.0]])
+    assert knot_linf(got.outflow, want.outflow, knots) <= tol
+    assert got.outflow.total == f.total
 
 
 #: vertex values that repeat, so slopes stay equal and curves flat; the
@@ -422,35 +450,23 @@ def test_build_matches_loop_reference_bits(arrays):
         )
 
 
-@st.composite
-def arrivals_st(draw):
-    """Arrival curves whose rates often equal a capacity drawn below, with
-    atoms, and with vertices at least 1e-3 apart, so that building them
-    merges nothing."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    gaps = st.sampled_from([0.5, 1.0]) | st.floats(min_value=1e-3, max_value=5.0)
-    t = np.cumsum([draw(st.sampled_from([0.0, 0.5]) | times_st),
-                   *draw(st.lists(gaps, min_size=n - 1, max_size=n - 1))])
-    rates = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | rate_st, min_size=n - 1, max_size=n - 1))
-    atoms = draw(st.lists(st.just(0.0) | mass_st, min_size=n, max_size=n))
-    lefts, values = [0.0], [atoms[0]]
-    for i in range(1, n):
-        lefts.append(values[-1] + rates[i - 1] * (t[i] - t[i - 1]))
-        values.append(lefts[-1] + atoms[i])
-    return CumulativeFlow.from_vertices(t, lefts, values)
-
-
-@given(arrivals_st(), st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=0.1, max_value=3.0))
+@given(
+    arrivals_st(),
+    st.sampled_from([0.5, 1.0]) | st.floats(min_value=0.05, max_value=2.0),
+    st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=0.1, max_value=3.0),
+)
 @settings(max_examples=400, deadline=None)
-def test_point_queue_exits_matches_loop_reference_bits(arrivals, capacity):
+def test_bottleneck_outflow_matches_point_queue_loop(inflow, free_flow, capacity):
     # rates equal to the capacity, queues that clear inside a segment or
-    # carry over, and atoms joining a queue
-    assume(not arrivals.is_zero)
-    assert same_outcome(
-        outcome(_point_queue_exits, arrivals, capacity),
-        outcome(loop_reference._point_queue_exits, arrivals, capacity),
-        same_flow_bits,
-    )
+    # carry over, and atoms joining a queue; the loop serves the inflow
+    # shifted by the free-flow time
+    assume(not inflow.is_zero)
+    model = BottleneckModel(free_flow, capacity)
+    got = model.exit_profile(inflow).outflow
+    want = loop_reference._point_queue_exits(inflow.shifted(free_flow), capacity)
+    knots = np.concatenate([got.times, want.times, [0.0]])
+    assert knot_linf(got, want, knots) <= _bottleneck_tolerance(model, inflow)
+    assert got.total == inflow.total
 
 
 # -- batched loading kernels against their loop versions --------------------------
@@ -636,10 +652,10 @@ def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
     block loop's map does so, by more than tiny, the front, and with it the
     exits, depend on where each computation sampled.  There the sweep must
     still return, with a map that does the same, agrees with the block
-    loop's at the knots up to the inflow's last vertex and carries the
-    inflow's mass; the map beyond and the outflow are left unchecked.  A
-    FifoViolation's message names the sample where the check fired, so only
-    its type is compared.
+    loop's at the knots up to the inflow's last vertex and at the midpoints
+    between them, and carries the inflow's mass; the map beyond and the
+    outflow are left unchecked.  A FifoViolation's message names the sample
+    where the check fired, so only its type is compared.
     """
     got = outcome(model.exit_profile, f)[:2]
     want = outcome(loop_reference.volume_delay_exit_profile, model, f)[:2]
@@ -649,7 +665,7 @@ def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
         g, w = got[1], want[1]
         assert _mass_behind_front(f, g.curve) > tol
         xs = np.concatenate([g.curve.xs, w.curve.xs])
-        assert knot_linf(g.curve, w.curve, xs[xs <= f.times[-1]]) <= tol
+        assert knot_linf(g.curve, w.curve, xs[xs <= f.times[-1]], beyond=False) <= tol
         assert abs(g.outflow.total - f.total) <= 1e-12 * f.total
         return
     assert same_outcome(got, want, _close_profiles(f))
@@ -740,6 +756,11 @@ affine_models_st = st.sampled_from([
         np.array([1.125, 1.125, 0.0, 0.25, 0.0]),
     ),
     ArcPerformanceModel.affine(0.6, 0.8),
+)
+@example(  # both maps send mass behind the exit front; they agree at every
+    # knot up to the inflow's end, 2.75, and differ by 1.8e-4 one unit later
+    sum_flows([CumulativeFlow.atom_at(0.0, 0.25), CumulativeFlow.constant_rate(0.0, 2.75, 0.25)]),
+    ArcPerformanceModel.affine(1.0, 0.5),
 )
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_matches_block_reference_with_atoms(f, model):

@@ -415,7 +415,6 @@ def test_loading_matches_loop_reference_bits(fx, monkeypatch):
         m.setattr(PiecewiseLinearMap, "compose_after", loop_reference.compose_after)
         for module in (flows_module, arcs_module, network_module):
             m.setattr(module, "sum_flows", loop_reference.sum_flows)
-        m.setattr(BottleneckModel, "exit_profile", loop_reference.bottleneck_exit_profile)
         m.setattr(network_module, "flowing", loop_reference.flowing)
         want = _loaded_arrays(fx)
     assert len(got) == len(want)
