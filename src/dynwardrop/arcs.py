@@ -7,10 +7,15 @@ Three concrete models are provided.
   the volume currently on the arc.  Exit times come from one sweep over entry
   time: every exit at time h stems from an entry before h minus the empty-arc
   delay, so the on-arc volume at h is known when the sweep reaches h.  The
-  sweep steps from event to event (inflow vertices, kinks of the cumulative
-  exits, crossings of the delay function's breakpoints), and between events
-  all curves are linear, so the construction is exact (no time grid).  The
-  exits it builds are the arc's outflow: no second pass pushes inflow forward.
+  sweep steps from event to event (inflow vertices, kinks and atoms of the
+  cumulative exits, crossings of the delay function's breakpoints), and
+  between events all curves are linear, so the construction is exact (no
+  time grid).  Its exit samples pass through the FIFO filter and grouping of
+  ``pushforward`` (``flows._ExitFront``), and the exits they build are the
+  arc's outflow: no second pass pushes inflow forward.  FIFO holds where
+  D'(v) (e - a) <= 1, with D the delay function and a, e the entry and exit
+  rates; where its samples find it broken, atoms or not, the sweep raises
+  ``FifoViolation``.
 * ``BottleneckModel``: a free-flow time followed by a server of finite
   capacity; a point queue forms whenever arrivals outrun the capacity.  The
   cumulative departures are Newell's closed form, read at the arrivals'
@@ -33,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import ExitTimeCurve, PiecewiseLinearMap
-from .errors import FifoViolation, ModelParameterError, NonTermination
+from .errors import ModelParameterError, NonTermination
 # pushforward is bound here for the benchmark's tracer only (ROADMAP item 6)
-from .flows import MERGE_TOL, CumulativeFlow, Horizon, _build, pushforward, sum_flows
+from .flows import CumulativeFlow, Horizon, _build, _ExitFront, pushforward, sum_flows
 
 
 @dataclass(frozen=True)
@@ -229,13 +234,12 @@ class ArcPerformanceModel(ArcModel):
             raise ModelParameterError("delay function must be strictly increasing")
 
     @staticmethod
-    def affine(base: float, slope: float, up_to_volume: float = 64.0) -> "ArcPerformanceModel":
-        """Delay ``base + slope * volume`` (as two breakpoints plus extension)."""
+    def affine(base: float, slope: float) -> "ArcPerformanceModel":
+        """Delay ``base + slope * volume``: breakpoints at volumes 0 and 64,
+        extended with the same slope."""
         if slope <= 0:
             raise ModelParameterError("affine delay needs a positive slope")
-        return ArcPerformanceModel(
-            (0.0, up_to_volume), (base, base + slope * up_to_volume)
-        )
+        return ArcPerformanceModel((0.0, 64.0), (base, base + slope * 64.0))
 
     def _delay_map(self) -> PiecewiseLinearMap:
         xs = np.array(self.volumes)
@@ -283,18 +287,19 @@ def _volume_exit_sweep(
     Every exit at time h stems from an entry before h - t_min, so the exits
     up to h are known when the sweep reaches h.  Between events A and E are
     linear, and so is the map.  The events are the inflow's vertices, the
-    vertices of E found so far, and the instants where the volume crosses a
-    breakpoint of the delay function.  Each event h adds (h, y_left) to the
-    map and, where it jumps, (h, y_right); its entries' exits extend E by
-    ``pushforward``'s rule, except that a vertex of E that changes no mass
-    on either side moves on instead of staying as an event.  The sweep ends
-    once every inflow vertex is done and E holds the total; beyond, the map
-    extends with slope 1.  E is the arc's outflow; ``pushforward`` of the
-    inflow under the map reads it again, up to rounding in its exit times.
+    kinks and atoms of E found so far, and the instants where the volume
+    crosses a breakpoint of the delay function.  Each event h adds
+    (h, y_left) to the map and, where it jumps, (h, y_right), and passes its
+    entries' exit samples through ``flows._ExitFront``, the FIFO filter and
+    grouping ``pushforward`` uses, which builds E.  A vertex of E that holds
+    no atom and leaves E flat on both sides is no kink, and the sweep steps
+    over it.  The sweep ends once every inflow vertex is done and E holds
+    the total; beyond, the map extends with slope 1.  E is the arc's
+    outflow; ``pushforward`` of the inflow under the map reads it again, up
+    to rounding in its exit times.
 
-    FIFO is checked as ``pushforward`` checks it, against the exit front at
-    samples: the events, and the instants h0 + k * t_min before the inflow
-    ends, where the map is checked without adding a vertex.  The fixed point
+    FIFO is also checked at the instants h0 + k * t_min before the inflow
+    ends, where the map is sampled without adding a vertex.  The fixed point
     over blocks of length t_min in ``tests/loop_reference.py`` checks the
     same samples, each against the mass that entered by the end of its
     block, so the two raise alike.  Those block-end samples and tolerances
@@ -314,7 +319,7 @@ def _volume_exit_sweep(
     # the delay on [levels[k], levels[k + 1]) is delays[k] + (v - levels[k]) * rise[k] / run[k],
     # as dmap.value reads it; the last piece extends with dmap's final slope
     levels, delays = dmap.xs.tolist(), dmap.ys.tolist()
-    rise = [b - a for a, b in zip(delays, delays[1:])] + [dmap.hi_slope]
+    rise = [b - a for a, b in zip(delays, delays[1:])] + [float(dmap.hi_slope)]
     run = [b - a for a, b in zip(levels, levels[1:])] + [1.0]
     d_min = delays[0]
 
@@ -322,68 +327,6 @@ def _volume_exit_sweep(
         """``dmap.value(v)`` for a volume v >= 0."""
         k = bisect_right(levels, v) - 1
         return delays[k] + (v - levels[k]) * rise[k] / run[k]
-
-    # E's vertices, grouped as pushforward groups them: at et[k] E rises from
-    # e_lo[k] to e_hi[k], and it is linear in between.  (lt, lm, lu) is
-    # pushforward's exit front: the latest exit sampled, its mass and its
-    # entry time.
-    h = ts[0]
-    lt, lm, lu = h + d_min, 0.0, h
-    et, e_lo, e_hi = [lt], [0.0], [0.0]
-    one_sample = True  # the last vertex of E holds a single sample
-
-    def refuse(tau: float, dm: float, u: float) -> None:
-        """Raise as pushforward does for mass dm > tiny exiting at tau <= lt."""
-        if tau < lt - MERGE_TOL:
-            raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
-        if u > lu:
-            raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")
-
-    def emit(tau: float, m: float, u: float) -> None:
-        """Pass the exit sample (tau, m), from entry time u, through
-        pushforward's FIFO filter and grouping."""
-        nonlocal lt, lm, lu, one_sample
-        if tau > lt:
-            if tau > et[-1] + MERGE_TOL:
-                if one_sample and m <= lm and (len(et) == 1 or e_hi[-2] >= lm) and et[-1] > h:
-                    # the last vertex changes no mass on either side, so it is
-                    # no kink of E; a rounding dip counts as no change, as
-                    # from_vertices lifts it, and E is 0 before its first
-                    # vertex.  The sweep has not passed it, so it moves
-                    et[-1] = tau
-                else:
-                    et.append(tau)
-                    e_lo.append(m)
-                    e_hi.append(m)
-                    one_sample = True
-            else:
-                e_hi[-1] = m
-                one_sample = False
-            lt, lm, lu = tau, m, u
-            return
-        dm = m - lm
-        if dm <= tiny:
-            # monotone wobble or flat stretch over zero mass: keep the level
-            if m > lm:
-                lm, lu = m, u
-                e_hi[-1] = m
-                if one_sample:
-                    e_lo[-1] = m
-            return
-        refuse(tau, dm, u)
-        # atom of the inflow: vertical rise at one exit instant
-        lm, lu = m, u
-        e_hi[-1] = m
-        one_sample = False
-
-    def sample(y_left: float, y_right: float, a_left: float, a_right: float) -> None:
-        """The exit samples of entry instant h: left limit, flat stretch, atom."""
-        if h <= h_last:
-            emit(y_left, a_left, h)
-            if y_right > y_left:
-                emit(y_right, a_left, h)
-            if a_right > a_left:
-                emit(y_right, a_right, h)
 
     def exits_at(t: float) -> float:
         """E(t-), for t after the first q vertices of E, up to the next one."""
@@ -407,24 +350,26 @@ def _volume_exit_sweep(
     def check_until(x: float) -> None:
         """Check FIFO at the instants h0 + k * t_min before the event x, as
         samples of the map's stretch from h that add no vertex."""
-        nonlocal check_at, tiny
+        nonlocal check_at
         while check_at < x and check_at < h_last:
             if check_at > h:
                 a = cums[i - 1] + rate * (check_at - ts[i - 1])
-                tau = check_at + delay(max(0.0, a - exits_at(check_at)))
-                if tau <= lt and a - lm > tiny:
-                    refuse(tau, a - lm, check_at)
+                check(check_at + delay(max(0.0, a - exits_at(check_at))), a, check_at)
             check_at += d_min
-            tiny = block_tolerance(check_at)
+            front.tiny = block_tolerance(check_at)
 
+    # E starts at the empty arc's first exit.  check_at is the first instant
+    # h0 + k * t_min after h, and the samples up to it take the tolerance of
+    # the mass that entered by then
+    h = ts[0]
+    check_at = h + d_min
+    front = _ExitFront(check_at, 0.0, h, block_tolerance(check_at))
+    et, e_lo, e_hi = front.et, front.e_lo, front.e_hi
+    sample, add, check = front.sample, front.add, front.check
     xs: list[float] = []
     ys: list[float] = []
     i, q = 1, 0  # vertices of A and of E at or before h
     a_left, a_right, e_left, e_right = 0.0, cums[0], 0.0, 0.0
-    # the first instant h0 + k * t_min at or after h, and the tolerance of
-    # the samples up to it
-    check_at = h + d_min
-    tiny = block_tolerance(check_at)
     while True:
         rate = slopes[i - 1]
         v_left = a_left - e_left if a_left > e_left else 0.0
@@ -438,13 +383,23 @@ def _volume_exit_sweep(
             y_right = y_left
             xs.append(h)
             ys.append(y_left)
-        sample(y_left, y_right, a_left, a_right)
+        if h <= h_last:
+            sample(h, y_left, y_right, a_left, a_right)
         if i == n and e_right >= total - 1e-12 * (1.0 + total):
             return xs, ys, et, e_lo, e_hi
 
-        # the next vertex of A or E, and the left limits there
+        # the next vertex of A or E, and the left limits there.  A vertex of E
+        # with no atom and E flat on both sides (0 before the first) is no
+        # kink: once the vertex after it is known, the sweep steps over it
         t_a = ts[i] if i < n else math.inf
-        t_e = et[q] if q < len(et) else math.inf
+        n_e = len(et)
+        t_e = et[q] if q < n_e else math.inf
+        while (
+            t_e < t_a and (e_hi[q - 1] if q else 0.0) >= e_lo[q]
+            and q + 1 < n_e and e_lo[q + 1] <= e_hi[q] <= e_lo[q]
+        ):
+            q += 1
+            t_e = et[q]
         nxt = t_a if t_a < t_e else t_e
         if nxt > h_limit:
             raise NonTermination("volume-delay propagation did not drain; check the delay function")
@@ -468,7 +423,8 @@ def _volume_exit_sweep(
                     y = x + delay(max(0.0, a - exits_at(x)))
                     xs.append(x)
                     ys.append(y)
-                    sample(y, y, a, a)
+                    if h <= h_last:
+                        add(y, a, h)
         if check_at < nxt:
             check_until(nxt)
 

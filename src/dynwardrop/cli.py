@@ -162,7 +162,7 @@ def cmd_oracle(args) -> int:
     scenario = parse_scenario(args.scenario)
     flows = _plain_route_flows(scenario)
     bundle = load(scenario.network, flows)
-    step = args.dt if args.dt else scenario.network.t_min_star / 8.0
+    step = args.dt if args.dt is not None else scenario.network.t_min_star / 8.0
     diffs = {}
     for k, label in ((1, "dt"), (2, "dt/2"), (4, "dt/4")):
         gridded = oracle_load(scenario.network, flows, GridConfig(step / k))
@@ -190,6 +190,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argparse type: a number of ``kind`` that must exceed 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dynwardrop",
@@ -207,29 +220,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="route-choice equilibrium")
     common(sp)
-    sp.add_argument("--bins", type=int, default=32, help="departure bins over the horizon")
+    sp.add_argument("--bins", type=_positive(int), default=32, help="departure bins over the horizon")
     sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--max-iters", type=int, default=200)
+    sp.add_argument("--max-iters", type=_positive(int), default=200)
     sp.add_argument("--strict", action="store_true", help="exit 3 when tolerance unmet")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("solve-dtc", help="departure-time choice equilibrium")
     common(sp)
-    sp.add_argument("--bins", type=int, default=64)
+    sp.add_argument("--bins", type=_positive(int), default=64)
     sp.add_argument("--tol", type=float, default=1e-2)
-    sp.add_argument("--max-iters", type=int, default=500)
+    sp.add_argument("--max-iters", type=_positive(int), default=500)
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(fn=cmd_solve_dtc)
 
     sp = sub.add_parser("check", help="probe arc models for behavioural conformance")
     common(sp)
-    sp.add_argument("--probes", type=int, default=200)
+    sp.add_argument("--probes", type=_positive(int), default=200)
     sp.add_argument("--seed", type=int, default=0, help="seed of the random probe inflows")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("oracle", help="grid loader cross-check against the exact loader")
     common(sp)
-    sp.add_argument("--dt", type=float, default=None, help="grid step (default: floor/8)")
+    sp.add_argument("--dt", type=_positive(float), default=None, help="grid step (default: floor/8)")
     sp.set_defaults(fn=cmd_oracle)
     return p
 

@@ -40,9 +40,9 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "ys", _freeze(ys))
 
     @classmethod
-    def shift(cls, delta: float, anchor: float = 0.0) -> "PiecewiseLinearMap":
-        """The translation x -> x + delta."""
-        return cls(np.array([anchor]), np.array([anchor + delta]))
+    def shift(cls, delta: float) -> "PiecewiseLinearMap":
+        """The translation x -> x + delta, with one vertex at 0."""
+        return cls(np.zeros(1), np.array([delta], dtype=float))
 
     def kinks(self) -> np.ndarray:
         """Abscissae where the map may change slope or jump."""

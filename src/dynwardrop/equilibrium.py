@@ -118,6 +118,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.bin_width <= 0 or self.tolerance <= 0:
             raise ValidationError("bin width and tolerance must be positive")
+        if self.max_iters < 1:
+            raise ValidationError(f"need at least one iteration, got max_iters={self.max_iters}")
 
     def bins_for(self, horizon: Horizon) -> int:
         n = horizon.end / self.bin_width

@@ -310,10 +310,6 @@ class CumulativeFlow:
             return self
         return CumulativeFlow(self.times + delta, self.cums, self.atoms, self.slopes)
 
-    def breakpoints(self) -> list[tuple[float, float]]:
-        """(time, cumulative mass) pairs of the curve."""
-        return list(zip(self.times.tolist(), self.cums.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CumulativeFlow):
             return NotImplemented
@@ -411,7 +407,10 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
 
     ``curve`` is a piecewise-linear map (see ``curves.PiecewiseLinearMap``)
     from entry times to exit times.  The result assigns to every interval J
-    the mass of its preimage, so total mass is conserved exactly.
+    the mass of its preimage, so total mass is conserved exactly.  The map
+    and the flow are read on both sides of the flow's vertices and of the
+    map's kinks between them; these samples pass through ``_ExitFront``, and
+    the image's curve runs through its vertices.
 
     Raises:
         FifoViolation: the map decreases, or is constant, across an interval
@@ -421,61 +420,87 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
         return flow
     t0, t1 = flow.support()
     kinks = curve.kinks()
-    inner = kinks[(kinks > t0) & (kinks < t1)]
-    us = np.union1d(flow.times, inner)
-
-    # Sample (exit time, cumulative mass, entry time) vertices.  Each entry
-    # instant u contributes its left limit, a flat stretch across any jump of
-    # the map, and a vertical rise for an atom of the flow.
+    us = np.union1d(flow.times, kinks[(kinks > t0) & (kinks < t1)])
     tl, tr = curve.sided_values([us, us], [[True], [False]])
     ml, mr = flow.limits(us)
-    keep = np.column_stack([np.ones(us.size, dtype=bool), tr > tl, mr > ml]).ravel()
-    taus = np.column_stack([tl, tr, tr]).ravel()[keep].tolist()
-    masses = np.column_stack([ml, ml, mr]).ravel()[keep].tolist()
-    sources = np.repeat(us, 3)[keep].tolist()
+    front = _ExitFront(float(tl[0]), float(ml[0]), float(us[0]), 1e-12 * (1.0 + flow.total))
+    front.extend(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist())
+    return CumulativeFlow.from_vertices(front.et, front.e_lo, front.e_hi)
 
-    total = flow.total
-    tiny = 1e-12 * (1.0 + total)
-    out_t: list[float] = [taus[0]]
-    out_m: list[float] = [masses[0]]
-    out_u: list[float] = [sources[0]]
-    for tau, m, u in zip(taus[1:], masses[1:], sources[1:]):
-        dm = m - out_m[-1]
-        if tau > out_t[-1]:
-            out_t.append(tau)
-            out_m.append(m)
-            out_u.append(u)
-            continue
-        if dm <= tiny:
-            # monotone wobble or flat stretch over zero mass: keep the level
-            if m > out_m[-1]:
-                out_m[-1] = m
-                out_u[-1] = u
-            continue
-        # positive mass maps backwards or onto a single instant
-        if tau < out_t[-1] - MERGE_TOL:
-            raise FifoViolation(
-                f"map sends mass {dm:.3g} backwards near entry time {u:.6g}"
-            )
-        if u > out_u[-1]:
-            raise FifoViolation(
-                f"map is constant over a positive-mass interval ending at {u:.6g}"
-            )
-        # atom of the flow: vertical rise at one exit instant
-        out_t.append(out_t[-1])
-        out_m.append(m)
-        out_u.append(u)
 
-    # Group vertices sharing an exit instant (within the merge tolerance);
-    # each group's vertical extent becomes an atom of the image measure.
-    g_time: list[float] = []
-    g_lo: list[float] = []
-    g_hi: list[float] = []
-    for tau, m in zip(out_t, out_m):
-        if not g_time or tau > g_time[-1] + MERGE_TOL:
-            g_time.append(tau)
-            g_lo.append(m)
-            g_hi.append(m)
-        else:
-            g_hi[-1] = m
-    return CumulativeFlow.from_vertices(g_time, g_lo, g_hi)
+class _ExitFront:
+    """The exits E of a flow through a monotone map, built from samples
+    (exit time, cumulative mass) taken entry instant by entry instant.
+
+    The front ``(lt, lm, lu)`` is the latest exit accepted, the mass that has
+    left by then and its entry instant.  A later exit moves the front on.
+    One at or before it is accepted only with at most ``tiny`` more mass (a
+    wobble, or a flat stretch over no mass: the front takes the higher
+    level), or as an atom: more mass from the front's own entry instant,
+    within ``MERGE_TOL`` of its exit, rises vertically there.  Accepted exits
+    at most ``MERGE_TOL`` after the first of their group make one vertex
+    of E: at ``et[k]`` it rises from ``e_lo[k]`` to ``e_hi[k]``, and it is
+    linear in between, as ``from_vertices`` reads it.
+    """
+
+    __slots__ = ("tiny", "lt", "lm", "lu", "single", "et", "e_lo", "e_hi")
+
+    def __init__(self, tau: float, m: float, u: float, tiny: float):
+        """The front at the first sample ``(tau, m)``, from entry instant u."""
+        self.tiny = tiny
+        self.lt, self.lm, self.lu = tau, m, u
+        self.single = True  # the last vertex of E holds one sample
+        self.et, self.e_lo, self.e_hi = [tau], [m], [m]
+
+    def extend(self, us, y_left, y_right, a_left, a_right) -> None:
+        """``sample`` at every entry instant of ``us``, in order."""
+        for args in zip(us, y_left, y_right, a_left, a_right):
+            self.sample(*args)
+
+    def sample(self, u: float, y_left: float, y_right: float, a_left: float, a_right: float) -> None:
+        """The samples of entry instant u, with exit times ``y_left`` and
+        ``y_right`` and cumulative mass ``a_left`` before it and ``a_right``
+        with it: left limit, flat stretch over a jump of the map, atom."""
+        self.add(y_left, a_left, u)
+        if y_right > y_left:
+            self.add(y_right, a_left, u)
+        if a_right > a_left:
+            self.add(y_right, a_right, u)
+
+    def add(self, tau: float, m: float, u: float) -> None:
+        """Pass one sample through the FIFO filter and the grouping."""
+        if tau > self.lt:
+            if tau > self.et[-1] + MERGE_TOL:
+                self.et.append(tau)
+                self.e_lo.append(m)
+                self.e_hi.append(m)
+                self.single = True
+            else:
+                self.e_hi[-1] = m
+                self.single = False
+            self.lt, self.lm, self.lu = tau, m, u
+            return
+        if m - self.lm > self.tiny:
+            self.check(tau, m, u)  # an atom, or it raises
+            self.single = False
+        elif not m > self.lm:
+            return
+        elif self.single:
+            self.e_lo[-1] = m
+        self.lm, self.lu = m, u
+        self.e_hi[-1] = m
+
+    def check(self, tau: float, m: float, u: float) -> None:
+        """Raise where the sample would be refused; add nothing.
+
+        Raises:
+            FifoViolation: more than ``tiny`` mass exits at or before the
+                front, and not as an atom.
+        """
+        dm = m - self.lm
+        if tau > self.lt or dm <= self.tiny:
+            return
+        if tau < self.lt - MERGE_TOL:
+            raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
+        if u > self.lu:
+            raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")

@@ -164,7 +164,10 @@ def parse_scenario(path: str | Path) -> Scenario:
             tag_seen = True
             continue
         if tokens[0] == "horizon" and section is None:
-            horizon = Horizon(_parse_float(tokens[1], no, "horizon"))
+            try:
+                horizon = Horizon(_parse_float(tokens[1], no, "horizon"))
+            except ValueError as exc:
+                raise ValidationError(f"{exc} (line {no})") from None
             continue
         if section == "arcs":
             if len(tokens) < 4:

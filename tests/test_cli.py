@@ -217,3 +217,26 @@ def test_check_still_takes_a_seed(tmp_path):
     out = tmp_path / "out"
     assert main(["check", str(scn), "--probes", "5", "--seed", "3", "--out", str(out)]) == 0
     assert _read_summary(out / "summary.txt")["all_passed"] == "true"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (DTC.replace("horizon 4", "horizon 0"), ["load"]),
+    (DTC, ["solve", "--bins", "0"]),
+    (DTC, ["solve-dtc", "--bins", "0"]),
+    (DTC, ["solve", "--max-iters", "0"]),
+    (DTC, ["solve-dtc", "--max-iters", "0"]),
+    (DTC, ["check", "--probes", "0"]),
+    (DTC, ["oracle", "--dt", "-1"]),
+    (DTC, ["oracle", "--dt", "0"]),
+], ids=["horizon-0", "solve-bins-0", "dtc-bins-0", "solve-iters-0", "dtc-iters-0",
+        "probes-0", "dt-negative", "dt-0"])
+def test_out_of_range_inputs_exit_2(text, argv, tmp_path, capsys):
+    # a scenario error returns 2 from main; an option argparse rejects exits 2
+    scn = tmp_path / "dtc.scn"
+    scn.write_text(text)
+    try:
+        code = main([argv[0], str(scn), *argv[1:], "--out", str(tmp_path / "o")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

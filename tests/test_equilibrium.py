@@ -309,6 +309,15 @@ def test_class_validation():
         UserClass("A", "B", mass=1.0, alpha=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"bin_width": 0.0}, {"bin_width": 0.25, "tolerance": 0.0}, {"bin_width": 0.25, "max_iters": 0},
+], ids=["bin_width", "tolerance", "max_iters"])
+def test_solver_config_rejects_out_of_range_knobs(kwargs):
+    # without an iteration the solvers would have no state to return
+    with pytest.raises(ValidationError):
+        SolverConfig(**kwargs)
+
+
 def test_unreachable_preferred_arrival_is_logged(caplog):
     net = parallel({"srv": BottleneckModel(0.1, 1.0)})
     # h_star beyond the horizon end plus the route's free-flow time

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel
+from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, _volume_exit_sweep
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
 from dynwardrop.errors import FifoViolation
 from dynwardrop.flows import MERGE_TOL, CumulativeFlow, _build, sum_flows, pushforward
@@ -779,6 +779,44 @@ def test_volume_delay_sweep_adds_no_event_at_a_flat_first_exit():
     want = loop_reference.volume_delay_exit_profile(model, f).curve
     assert 0.5 not in got.xs and 0.5 not in want.xs
     assert knot_linf(got, want, np.concatenate([got.xs, want.xs])) <= 1e-12 * (1.0 + f.total)
+
+
+@given(flows_st() | flows_st(max_atoms=0), delay_models_st | affine_models_st)
+@example(  # two pulses with an empty stretch between them: E is flat at
+    # 2.25 and 2.75, and the sweep steps over both
+    CumulativeFlow.piecewise_rate([(0.0, 0.5, 1.0), (2.0, 3.0, 1.0)]),
+    ArcPerformanceModel.affine(1.0, 0.5),
+)
+@example(  # steps over the flat exit vertex at 7.25, then sends mass
+    # backwards (the strict xfail of tests/test_arcs.py)
+    CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
+    ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_volume_delay_sweep_steps_over_flat_exit_vertices(f, model):
+    # where the exit map has a vertex at a vertex t of the exits E, other
+    # than at an inflow vertex, E holds an atom at t or rises on one side of
+    # it, or E's next vertex was not known before the sweep reached t: it
+    # stems from entries at t or later, and exits no earlier than the map at
+    # t.  A vertex that leaves E flat on both sides is no kink, and once its
+    # successor is known the sweep steps over it instead of making it an event
+    assume(not f.is_zero)
+    h_limit = float(f.times[-1]) + 2.0 * model.t_max(f.total) + 8.0 * model.t_min
+    got = outcome(_volume_exit_sweep, f, model._delay_map(), h_limit)
+    if got[0] == "raises":
+        assert got[1] is FifoViolation, got
+        return
+    xs, ys, et, e_lo, e_hi = got[1]
+    curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+    out = CumulativeFlow.from_vertices(et, e_lo, e_hi)
+    events = set(xs) - set(f.times.tolist())
+    for k, t in enumerate(et):
+        if t not in events:
+            continue
+        j = int(np.searchsorted(out.times, t))
+        if out.atom_mass(t) > 0 or (j > 0 and out.slopes[j - 1] > 0) or out.slope_at(t) > 0:
+            continue
+        assert k + 1 == len(et) or et[k + 1] >= curve.left_value(t), (t, et[k + 1])
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
