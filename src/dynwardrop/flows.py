@@ -424,7 +424,8 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     tl, tr = curve.sided_values([us, us], [[True], [False]])
     ml, mr = flow.limits(us)
     front = _ExitFront(float(tl[0]), float(ml[0]), float(us[0]), 1e-12 * (1.0 + flow.total))
-    front.extend(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist())
+    for args in zip(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist()):
+        front.sample(*args)
     return CumulativeFlow.from_vertices(front.et, front.e_lo, front.e_hi)
 
 
@@ -451,11 +452,6 @@ class _ExitFront:
         self.lt, self.lm, self.lu = tau, m, u
         self.single = True  # the last vertex of E holds one sample
         self.et, self.e_lo, self.e_hi = [tau], [m], [m]
-
-    def extend(self, us, y_left, y_right, a_left, a_right) -> None:
-        """``sample`` at every entry instant of ``us``, in order."""
-        for args in zip(us, y_left, y_right, a_left, a_right):
-            self.sample(*args)
 
     def sample(self, u: float, y_left: float, y_right: float, a_left: float, a_right: float) -> None:
         """The samples of entry instant u, with exit times ``y_left`` and

@@ -114,6 +114,8 @@ def _build_model(kind: str, kv: dict[str, str], line_no: int) -> ArcModel:
                 raise ParseError("arc_performance arc needs delay=v:t,v:t,...", line_no)
             pts = []
             for pair in kv["delay"].split(","):
+                if pair.count(":") != 1:
+                    raise ParseError(f"delay point must be v:t, got {pair!r}", line_no)
                 v, t = pair.split(":")
                 pts.append((
                     _parse_float(v, line_no, "delay volume"),
@@ -164,6 +166,8 @@ def parse_scenario(path: str | Path) -> Scenario:
             tag_seen = True
             continue
         if tokens[0] == "horizon" and section is None:
+            if len(tokens) != 2:
+                raise ParseError("horizon needs one value", no)
             try:
                 horizon = Horizon(_parse_float(tokens[1], no, "horizon"))
             except ValueError as exc:

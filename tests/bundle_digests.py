@@ -10,13 +10,11 @@ The loads are the benchmark's 24 ladders at 5 and at 8 stages (the
 ``ladder_load`` instances of ``perfbench/workloads.py``), the acceptance
 fixtures without a frontier step, at t_min* and at t_min*/2, the rotary, the
 spur, ladder fixtures 2, 3 and 5, and the 40 jittered ladders (seeds 0-9,
-m 0-3).  ``--only PREFIX`` restricts the run to the loads whose names start
-with PREFIX.  pytest does not collect this file.
+m 0-3).  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import sys
@@ -88,13 +86,8 @@ def loads():
             yield fx.name, fx.network, fx.flows, fx.horizon.end, None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", default="", help="run only loads whose names start with this")
-    args = parser.parse_args(argv)
+def main() -> int:
     for name, net, x, end, step in loads():
-        if not name.startswith(args.only):
-            continue
         bundle = load(net, x, frontier_step=step)
         print(name, bundle_digest(net, bundle, route_times(net, bundle, Horizon(end))), flush=True)
     return 0

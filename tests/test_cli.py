@@ -221,6 +221,8 @@ def test_check_still_takes_a_seed(tmp_path):
 
 @pytest.mark.parametrize("text, argv", [
     (DTC.replace("horizon 4", "horizon 0"), ["load"]),
+    (DTC.replace("horizon 4", "horizon"), ["load"]),
+    (DTC.replace("bottleneck free_flow=0.5 capacity=1", "arc_performance delay=0:1,8"), ["load"]),
     (DTC, ["solve", "--bins", "0"]),
     (DTC, ["solve-dtc", "--bins", "0"]),
     (DTC, ["solve", "--max-iters", "0"]),
@@ -228,8 +230,8 @@ def test_check_still_takes_a_seed(tmp_path):
     (DTC, ["check", "--probes", "0"]),
     (DTC, ["oracle", "--dt", "-1"]),
     (DTC, ["oracle", "--dt", "0"]),
-], ids=["horizon-0", "solve-bins-0", "dtc-bins-0", "solve-iters-0", "dtc-iters-0",
-        "probes-0", "dt-negative", "dt-0"])
+], ids=["horizon-0", "horizon-bare", "delay-pair-no-colon", "solve-bins-0", "dtc-bins-0",
+        "solve-iters-0", "dtc-iters-0", "probes-0", "dt-negative", "dt-0"])
 def test_out_of_range_inputs_exit_2(text, argv, tmp_path, capsys):
     # a scenario error returns 2 from main; an option argparse rejects exits 2
     scn = tmp_path / "dtc.scn"
