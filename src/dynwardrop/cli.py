@@ -76,59 +76,52 @@ def cmd_load(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
+def _solve(args, solve, score: str, margin: bool = False) -> int:
+    """The body of both solve commands: ``solve(scenario, config)`` returns
+    the state; its tables and summary go to ``--out``, and ``--strict`` turns
+    an unmet tolerance into exit code 3.  The summary names the gap ``score``
+    and, with ``margin``, reports the worst margin error."""
     scenario = parse_scenario(args.scenario)
-    h = scenario.horizon
     config = SolverConfig(
-        bin_width=h.end / args.bins,
+        bin_width=scenario.horizon.end / args.bins,
         max_iters=args.max_iters,
         tolerance=args.tol,
     )
-    state = solve_wardrop(scenario.network, scenario.demand, config)
+    state = solve(scenario, config)
+    # the state carries no bundle: its flows load once more for the arc table
     bundle = load(scenario.network, state.flows)
     _emit_state(args, scenario, state.flows, state.times, bundle)
     out = _outdir(args)
     write_gap_trace_csv(out / "gap_trace.csv", state.gap_trace)
-    write_summary(out / "summary.txt", {
+    entries = {
         "scenario": scenario.name,
-        "command": "solve",
-        "gap": state.gap,
+        "command": args.command,
+        score: state.gap,
         "iterations": state.iterations,
         "converged": str(state.converged).lower(),
-        "max_margin_error": state.max_margin_error,
-    })
+    }
+    if margin:
+        entries["max_margin_error"] = state.max_margin_error
+    write_summary(out / "summary.txt", entries)
     if args.strict and not state.converged:
-        print(f"gap {state.gap:.3g} did not reach {args.tol:.3g}", file=sys.stderr)
+        print(f"{score} {state.gap:.3g} did not reach {args.tol:.3g}", file=sys.stderr)
         return 3
     return 0
+
+
+def cmd_solve(args) -> int:
+    return _solve(
+        args, lambda sc, config: solve_wardrop(sc.network, sc.demand, config), "gap", margin=True
+    )
 
 
 def cmd_solve_dtc(args) -> int:
-    scenario = parse_scenario(args.scenario)
-    if not scenario.classes:
-        raise ValidationError("scenario has no [classes] section to solve")
-    h = scenario.horizon
-    config = SolverConfig(
-        bin_width=h.end / args.bins,
-        max_iters=args.max_iters,
-        tolerance=args.tol,
-    )
-    state = solve_departure_choice(scenario.network, scenario.classes, config, h)
-    bundle = load(scenario.network, state.flows)
-    _emit_state(args, scenario, state.flows, state.times, bundle)
-    out = _outdir(args)
-    write_gap_trace_csv(out / "gap_trace.csv", state.gap_trace)
-    write_summary(out / "summary.txt", {
-        "scenario": scenario.name,
-        "command": "solve-dtc",
-        "regret": state.gap,
-        "iterations": state.iterations,
-        "converged": str(state.converged).lower(),
-    })
-    if args.strict and not state.converged:
-        print(f"regret {state.gap:.3g} did not reach {args.tol:.3g}", file=sys.stderr)
-        return 3
-    return 0
+    def solve(scenario: Scenario, config: SolverConfig):
+        if not scenario.classes:
+            raise ValidationError("scenario has no [classes] section to solve")
+        return solve_departure_choice(scenario.network, scenario.classes, config, scenario.horizon)
+
+    return _solve(args, solve, "regret")
 
 
 def cmd_check(args) -> int:
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="route-choice equilibrium")
     common(sp)
     sp.add_argument("--bins", type=_positive(int), default=32, help="departure bins over the horizon")
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=_positive(float), default=1e-3)
     sp.add_argument("--max-iters", type=_positive(int), default=200)
     sp.add_argument("--strict", action="store_true", help="exit 3 when tolerance unmet")
     sp.set_defaults(fn=cmd_solve)
@@ -229,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve-dtc", help="departure-time choice equilibrium")
     common(sp)
     sp.add_argument("--bins", type=_positive(int), default=64)
-    sp.add_argument("--tol", type=float, default=1e-2)
+    sp.add_argument("--tol", type=_positive(float), default=1e-2)
     sp.add_argument("--max-iters", type=_positive(int), default=500)
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(fn=cmd_solve_dtc)

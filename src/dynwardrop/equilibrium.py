@@ -6,16 +6,18 @@ alternative.  Departure choice generalizes this to scheduling utilities with
 earliness/lateness penalties around a preferred arrival time.
 
 Both solvers discretize departures into uniform bins, score every (route,
-bin) option by its bin-averaged utility, and average a response into the
-current choice with a shrinking step.  Route choice is the special case whose
-users weigh travel time alone: its bin cost is minus the utility of a class
-with alpha = 1 and beta = gamma = 0, and it averages the all-or-nothing best
-response with step 1/(n+1).  Departure choice averages a logit response of
-annealed temperature (all-or-nothing for classes with a fixed departure
-profile) with an annealed step.  No convergence guarantee is claimed; the
-certificate is the reported gap: the mass-weighted excess travel time (or
-utility regret) relative to the best available alternative, normalized to
-[0, 1].
+bin) option by its bin-averaged utility, and run one averaged-response loop:
+assemble route inflows from the splits, load them, time the routes, score
+them, keep the best state, and stop at the tolerance or step every split
+toward its response.  Route choice keys its splits by od pair and is the
+special case whose users weigh travel time alone: its bin cost is minus the
+utility of a class with alpha = 1 and beta = gamma = 0, and it averages the
+all-or-nothing best response with step 1/(n+1).  Departure choice keys its
+splits by class index and averages a logit response of annealed temperature
+(all-or-nothing for classes with a fixed departure profile) with an annealed
+step.  No convergence guarantee is claimed; the certificate is the reported
+gap: the mass-weighted excess travel time (or utility regret) relative to
+the best available alternative, normalized to [0, 1].
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class UserClass:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the averaged best-response iteration.
+    """Knobs of the averaged-response loop both solvers run: at most
+    ``max_iters`` iterations, stopping at the first score within ``tolerance``.
 
     Route choice reassigns each (od, bin) all-or-nothing and averages with the
     vanishing step 1/(n+1).  Departure choice smooths the reassignment through
@@ -116,21 +119,25 @@ class SolverConfig:
     tolerance: float = 1e-3
 
     def __post_init__(self):
-        if self.bin_width <= 0 or self.tolerance <= 0:
+        # written so that NaN fails too
+        if not self.bin_width > 0 or not self.tolerance > 0:
             raise ValidationError("bin width and tolerance must be positive")
         if self.max_iters < 1:
             raise ValidationError(f"need at least one iteration, got max_iters={self.max_iters}")
 
     def bins_for(self, horizon: Horizon) -> int:
         n = horizon.end / self.bin_width
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        # a width far beyond the horizon, or an infinite one, leaves no bin
+        if round(n) < 1 or abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValidationError("bin width must divide the horizon")
         return int(round(n))
 
 
 @dataclass
 class EquilibriumState:
-    """Solver output: per-class splits, flows, times, and the gap trace."""
+    """Solver output: the best-scoring iterate of the averaged-response loop,
+    with ``splits`` keyed by od pair (route choice) or class index (departure
+    choice), the gap of every iteration, and the worst margin error of all."""
 
     flows: RouteFlowPattern
     times: TravelTimePattern
@@ -279,6 +286,43 @@ def _crossings(c1, c2) -> np.ndarray:
     return a + (b - a) * f_a / (f_a - f_b)
 
 
+# -- the averaged-response loop ----------------------------------------------------
+
+
+def _averaged_response(network, horizon, config, splits, assemble, respond, step_size):
+    """The iteration both solvers run; returns the best-score state visited.
+
+    Each iteration takes route flows and their margin error from
+    ``assemble()``, loads the flows, times the routes, and takes the score
+    and a target per split key from ``respond(it, flows, times)``.  It stops
+    at the first score within ``config.tolerance``; otherwise every split
+    with a target moves the fraction ``step_size(it)`` of the way to it.
+    ``splits`` is updated in place, so ``assemble`` reads each new iterate.
+    """
+    best: EquilibriumState | None = None
+    trace: list[tuple[int, float]] = []
+    worst_margin = 0.0
+    for it in range(1, config.max_iters + 1):
+        flows, margin = assemble()
+        worst_margin = max(worst_margin, margin)
+        times = route_times(network, load(network, flows), horizon)
+        gap, targets = respond(it, flows, times)
+        trace.append((it, gap))
+        if best is None or gap < best.gap:
+            best = EquilibriumState(
+                flows=flows, times=times, gap=gap, gap_trace=trace,
+                converged=gap <= config.tolerance, splits={k: s.copy() for k, s in splits.items()},
+            )
+        if gap <= config.tolerance:
+            break
+        step = step_size(it)
+        for k, target in targets.items():
+            splits[k] = (1.0 - step) * splits[k] + step * target
+    assert best is not None
+    best.max_margin_error = worst_margin
+    return best
+
+
 # -- route-choice equilibrium ----------------------------------------------------
 
 
@@ -301,47 +345,28 @@ def solve_wardrop(
     bins = config.bins_for(horizon)
     edges = np.linspace(0.0, horizon.end, bins + 1)
     ods = [od for od, q in sorted(demand.rates.items()) if q.total > 0]
-    for od in ods:
-        if not network.routes_between(*od):
+    rsets = {od: network.routes_between(*od) for od in ods}
+    for od, rset in rsets.items():
+        if not rset:
             raise NoRoute(f"demand between {od} has no route")
-    shares = {
-        od: np.full((len(network.routes_between(*od)), bins), 1.0 / len(network.routes_between(*od)))
-        for od in ods
-    }
+    shares = {od: np.full((len(rset), bins), 1.0 / len(rset)) for od, rset in rsets.items()}
 
-    best: EquilibriumState | None = None
-    trace: list[tuple[int, float]] = []
-    worst_margin = 0.0
-    for it in range(1, config.max_iters + 1):
+    def assemble():
         flows = induced_flows(network, demand, shares, edges)
-        worst_margin = max(worst_margin, margin_error(network, demand, flows, edges))
-        bundle = load(network, flows)
-        times = route_times(network, bundle, horizon)
-        gap = wardrop_gap(network, flows, times)
-        trace.append((it, gap))
-        if best is None or gap < best.gap:
-            best = EquilibriumState(
-                flows=flows,
-                times=times,
-                gap=gap,
-                gap_trace=[],
-                converged=gap <= config.tolerance,
-                splits={od: s.copy() for od, s in shares.items()},
-                max_margin_error=worst_margin,
-            )
-        if gap <= config.tolerance:
-            break
-        step = 1.0 / (it + 1)
-        for od in ods:
-            rset = network.routes_between(*od)
-            if len(rset) <= 1:
-                continue
-            u = _class_utilities(UserClass(*od, mass=1.0), rset, times, edges)
-            shares[od] = (1.0 - step) * shares[od] + step * _best_options(u)
-    assert best is not None
-    best.gap_trace = trace
-    best.max_margin_error = worst_margin
-    return best
+        return flows, margin_error(network, demand, flows, edges)
+
+    def respond(it, flows, times):
+        # an od with one route keeps its shares
+        targets = {
+            od: _best_options(_class_utilities(UserClass(*od, mass=1.0), rset, times, edges))
+            for od, rset in rsets.items()
+            if len(rset) > 1
+        }
+        return wardrop_gap(network, flows, times), targets
+
+    return _averaged_response(
+        network, horizon, config, shares, assemble, respond, lambda it: 1.0 / (it + 1)
+    )
 
 
 # -- departure-time choice ---------------------------------------------------------
@@ -418,11 +443,11 @@ def solve_departure_choice(
 
     # splits[c]: probability over (route, bin); fixed-departure classes hold
     # per-bin route splits weighted by their own departure profile
-    splits: list[np.ndarray] = []
+    splits: dict[int, np.ndarray] = {}
     fixed_bin_mass: list[np.ndarray | None] = []
-    for cls, rset in zip(classes, rsets):
+    for i, (cls, rset) in enumerate(zip(classes, rsets)):
         if cls.chooses_departure:
-            splits.append(np.full((len(rset), bins), 1.0 / (len(rset) * bins)))
+            splits[i] = np.full((len(rset), bins), 1.0 / (len(rset) * bins))
             fixed_bin_mass.append(None)
         else:
             q = cls.departure_rate
@@ -433,32 +458,26 @@ def solve_departure_choice(
                 )
             bm = _bin_masses(q, edges)
             bm = bm * (cls.mass / bm.sum()) if bm.sum() > 0 else bm
-            splits.append(np.full((len(rset), bins), 1.0 / len(rset)))
+            splits[i] = np.full((len(rset), bins), 1.0 / len(rset))
             fixed_bin_mass.append(bm)
 
-    best: EquilibriumState | None = None
-    trace: list[tuple[int, float]] = []
-    worst_margin = 0.0
-    for it in range(1, config.max_iters + 1):
+    def assemble():
         flows: RouteFlowPattern = {r: CumulativeFlow.zero() for r in network.routes}
-        for cls, rset, split, bm in zip(classes, rsets, splits, fixed_bin_mass):
-            masses = cls.mass * split if bm is None else bm * split
+        for i, (cls, rset, bm) in enumerate(zip(classes, rsets, fixed_bin_mass)):
+            masses = cls.mass * splits[i] if bm is None else bm * splits[i]
             for rid, row in zip(rset, masses):
                 flows[rid] = sum_flows([flows[rid], CumulativeFlow.from_bins(edges, row)])
         total_mass = sum(f.total for f in flows.values())
-        worst_margin = max(
-            worst_margin,
-            abs(total_mass - sum(c.mass for c in classes)) / (1 + total_mass),
-        )
-        bundle = load(network, flows)
-        times = route_times(network, bundle, horizon)
+        return flows, abs(total_mass - sum(c.mass for c in classes)) / (1 + total_mass)
 
+    def respond(it, flows, times):
         temperature = max(LOGIT_FLOOR, LOGIT_START * 0.985**it)
         regret_mass = 0.0
         norm = 0.0
-        targets = []
-        for cls, rset, split, bm in zip(classes, rsets, splits, fixed_bin_mass):
+        targets = {}
+        for i, (cls, rset, bm) in enumerate(zip(classes, rsets, fixed_bin_mass)):
             u = _class_utilities(cls, rset, times, edges)
+            split = splits[i]
             if cls.chooses_departure:
                 best_u = float(u.max())
                 achieved = float((split * u).sum())
@@ -467,7 +486,6 @@ def solve_departure_choice(
                 z = np.minimum(np.maximum((u - best_u) / temperature, -700.0), 0.0)
                 target = np.exp(z)
                 target /= target.sum()
-                targets.append(target)
             else:
                 target = _best_options(u)
                 best_u = (target * u).sum(axis=0)
@@ -479,27 +497,11 @@ def solve_departure_choice(
                     ach_w += w[b] * float(np.dot(split[:, b], u[:, b]))
                 regret_mass += cls.mass * (best_w - ach_w)
                 norm += cls.mass * abs(best_w)
-                targets.append(target)
-        gap = float(max(0.0, regret_mass) / (norm + 1.0))
-        trace.append((it, gap))
-        if best is None or gap < best.gap:
-            best = EquilibriumState(
-                flows=flows,
-                times=times,
-                gap=gap,
-                gap_trace=[],
-                converged=gap <= config.tolerance,
-                splits={i: s.copy() for i, s in enumerate(splits)},
-                max_margin_error=worst_margin,
-            )
-        if gap <= config.tolerance:
-            break
-        # annealed averaging: vanishing 1/n steps freeze transients in
-        # before the joint simplex has taken the equilibrium shape
-        step = max(0.03, 0.3 * 0.99**it)
-        for i in range(len(splits)):
-            splits[i] = (1.0 - step) * splits[i] + step * targets[i]
-    assert best is not None
-    best.gap_trace = trace
-    best.max_margin_error = worst_margin
-    return best
+            targets[i] = target
+        return float(max(0.0, regret_mass) / (norm + 1.0)), targets
+
+    # annealed averaging: vanishing 1/n steps freeze transients in before the
+    # joint simplex has taken the equilibrium shape
+    return _averaged_response(
+        network, horizon, config, splits, assemble, respond, lambda it: max(0.03, 0.3 * 0.99**it)
+    )

@@ -1,8 +1,8 @@
 """One SHA-256 digest per network load, over every bundle array and route
-arrival curve.
+arrival curve, and one per solver state.
 
-Run it on two checkouts and diff the output to see which loads a change
-moves, bit for bit:
+Run it on two checkouts and diff the output to see which loads and solves a
+change moves, bit for bit:
 
     PYTHONPATH=src python3 tests/bundle_digests.py > digests.txt
 
@@ -10,7 +10,10 @@ The loads are the benchmark's 24 ladders at 5 and at 8 stages (the
 ``ladder_load`` instances of ``perfbench/workloads.py``), the acceptance
 fixtures without a frontier step, at t_min* and at t_min*/2, the rotary, the
 spur, ladder fixtures 2, 3 and 5, and the 40 jittered ladders (seeds 0-9,
-m 0-3).  pytest does not collect this file.
+m 0-3).  The solves are the departure- and route-choice instances of the
+loop-reference bit tests in ``tests/test_equilibrium.py`` and the seed-0
+``corridor_wardrop`` and ``commute_dtc_cli`` benchmark solves.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent)]
 
+from dynwardrop.equilibrium import solve_departure_choice, solve_wardrop  # noqa: E402
 from dynwardrop.flows import Horizon  # noqa: E402
 from dynwardrop.network import load, route_times  # noqa: E402
 from fixtures import (  # noqa: E402
@@ -34,35 +39,62 @@ from fixtures import (  # noqa: E402
     rotary_fixture,
     spur_fixture,
 )
-from perfbench.workloads import LADDER_PULSES, ladder_instance  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    LADDER_PULSES,
+    CommuteDtcCli,
+    CorridorWardrop,
+    ladder_instance,
+)
+from test_equilibrium import DEPARTURE_INSTANCES, ROUTE_INSTANCES  # noqa: E402
+
+
+class _Digest:
+    """SHA-256 over arrays fed in a fixed order, each prefixed by its size."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def add(self, *arrays) -> None:
+        for a in arrays:
+            a = np.ascontiguousarray(a, dtype=float)
+            self.sha.update(str(a.size).encode())
+            self.sha.update(a.tobytes())
+
+    def add_flow(self, f) -> None:
+        self.add(f.times, f.cums, f.atoms, f.slopes)
+
+    def add_map(self, c) -> None:
+        self.add(c.xs, c.ys, [c.lo_slope, c.hi_slope])
 
 
 def bundle_digest(network, bundle, times) -> str:
     """SHA-256 over the bundle's inflows, totals and exit profiles, and the
     route arrival curves, in a fixed order."""
-    h = hashlib.sha256()
-
-    def add(*arrays) -> None:
-        for a in arrays:
-            a = np.ascontiguousarray(a, dtype=float)
-            h.update(str(a.size).encode())
-            h.update(a.tobytes())
-
-    def add_flow(f) -> None:
-        add(f.times, f.cums, f.atoms, f.slopes)
-
-    def add_map(c) -> None:
-        add(c.xs, c.ys, [c.lo_slope, c.hi_slope])
-
+    d = _Digest()
     for aid in network.arcs:
         for rid in sorted(bundle.inflows[aid]):
-            add_flow(bundle.inflows[aid][rid])
-        add_flow(bundle.totals[aid])
-        add_map(bundle.profiles[aid].curve)
-        add_flow(bundle.profiles[aid].outflow)
+            d.add_flow(bundle.inflows[aid][rid])
+        d.add_flow(bundle.totals[aid])
+        d.add_map(bundle.profiles[aid].curve)
+        d.add_flow(bundle.profiles[aid].outflow)
     for rid in network.routes:
-        add_map(times.arrivals[rid])
-    return h.hexdigest()
+        d.add_map(times.arrivals[rid])
+    return d.sha.hexdigest()
+
+
+def state_digest(state) -> str:
+    """SHA-256 over a solver state: gap trace, gap, convergence, margin
+    error, splits with their keys, route flows and route arrival curves."""
+    d = _Digest()
+    d.add(state.gap_trace, [state.gap, state.converged, state.max_margin_error])
+    for key, split in state.splits.items():
+        d.sha.update(repr(key).encode())
+        d.add(split)
+    for flow in state.flows.values():
+        d.add_flow(flow)
+    for arrival in state.times.arrivals.values():
+        d.add_map(arrival)
+    return d.sha.hexdigest()
 
 
 def loads():
@@ -86,10 +118,31 @@ def loads():
             yield fx.name, fx.network, fx.flows, fx.horizon.end, None
 
 
+def _named(instances):
+    """(name, factory) of each test parameter: a factory or a ``pytest.param``."""
+    for p in instances:
+        yield (p.id, p.values[0]) if hasattr(p, "values") else (p.__name__, p)
+
+
+def solves():
+    """(name, solver state) of every solve."""
+    for name, build in _named(DEPARTURE_INSTANCES):
+        yield f"solve_departure_{name.lstrip('_')}", solve_departure_choice(*build())
+    for name, build in _named(ROUTE_INSTANCES):
+        yield f"solve_route_{name.lstrip('_')}", solve_wardrop(*build())
+    with tempfile.TemporaryDirectory() as work:
+        yield "solve_corridor_wardrop", CorridorWardrop(0, Path(work)).run(0)
+        code, _, state = CommuteDtcCli(0, Path(work)).run(0)
+        assert code == 0, f"solve-dtc on commute exited {code}"
+        yield "solve_commute_dtc_cli", state
+
+
 def main() -> int:
     for name, net, x, end, step in loads():
         bundle = load(net, x, frontier_step=step)
         print(name, bundle_digest(net, bundle, route_times(net, bundle, Horizon(end))), flush=True)
+    for name, state in solves():
+        print(name, state_digest(state), flush=True)
     return 0
 
 

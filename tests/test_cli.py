@@ -230,8 +230,11 @@ def test_check_still_takes_a_seed(tmp_path):
     (DTC, ["check", "--probes", "0"]),
     (DTC, ["oracle", "--dt", "-1"]),
     (DTC, ["oracle", "--dt", "0"]),
+    (DTC, ["solve", "--tol", "0"]),
+    (DTC, ["solve-dtc", "--tol", "nan"]),
 ], ids=["horizon-0", "horizon-bare", "delay-pair-no-colon", "solve-bins-0", "dtc-bins-0",
-        "solve-iters-0", "dtc-iters-0", "probes-0", "dt-negative", "dt-0"])
+        "solve-iters-0", "dtc-iters-0", "probes-0", "dt-negative", "dt-0", "solve-tol-0",
+        "dtc-tol-nan"])
 def test_out_of_range_inputs_exit_2(text, argv, tmp_path, capsys):
     # a scenario error returns 2 from main; an option argparse rejects exits 2
     scn = tmp_path / "dtc.scn"

@@ -1,5 +1,7 @@
 """Equilibrium search: induced flows, gap functional, solver behaviour."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,11 +313,18 @@ def test_class_validation():
 
 @pytest.mark.parametrize("kwargs", [
     {"bin_width": 0.0}, {"bin_width": 0.25, "tolerance": 0.0}, {"bin_width": 0.25, "max_iters": 0},
-], ids=["bin_width", "tolerance", "max_iters"])
+    {"bin_width": float("nan")}, {"bin_width": 0.25, "tolerance": float("nan")},
+], ids=["bin_width", "tolerance", "max_iters", "bin_width-nan", "tolerance-nan"])
 def test_solver_config_rejects_out_of_range_knobs(kwargs):
     # without an iteration the solvers would have no state to return
     with pytest.raises(ValidationError):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bin_width", [3.0, 8.0, 4e10, float("inf")])
+def test_bin_width_must_divide_the_horizon(bin_width):
+    with pytest.raises(ValidationError, match="must divide the horizon"):
+        SolverConfig(bin_width=bin_width).bins_for(H4)
 
 
 def test_unreachable_preferred_arrival_is_logged(caplog):
@@ -392,9 +401,12 @@ def _mixed_bottleneck_instance():
     return net, [commuters, choosers], SolverConfig(bin_width=0.125, max_iters=60), H4
 
 
-@pytest.mark.parametrize(
-    "instance", [_scheduling_instance, _fixed_departure_instance, _mixed_bottleneck_instance]
-)
+#: The departure-choice instances of the loop-reference bit test; each builds
+#: ``solve_departure_choice``'s arguments.
+DEPARTURE_INSTANCES = [_scheduling_instance, _fixed_departure_instance, _mixed_bottleneck_instance]
+
+
+@pytest.mark.parametrize("instance", DEPARTURE_INSTANCES)
 def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
     got = solve_departure_choice(*instance())
     with monkeypatch.context() as m:
@@ -442,13 +454,18 @@ def _affine_pair_instance(bin_width: float, max_iters: int, tolerance: float):
     return net, demand_one(2.0), SolverConfig(bin_width=bin_width, max_iters=max_iters, tolerance=tolerance)
 
 
-@pytest.mark.parametrize("instance", [
+#: The route-choice instances of the loop-reference bit test; each builds
+#: ``solve_wardrop``'s arguments.
+ROUTE_INSTANCES = [
     _three_arc_instance,
     _corridor_instance,
     pytest.param(lambda: _corridor_instance(0.25, 40, 1e-9), id="acceptance_11_corridor"),
     pytest.param(lambda: _affine_pair_instance(0.125, 200, 1e-3), id="acceptance_8"),
     pytest.param(lambda: _affine_pair_instance(0.25, 40, 1e-9), id="acceptance_11_pair"),
-])
+]
+
+
+@pytest.mark.parametrize("instance", ROUTE_INSTANCES)
 def test_route_solver_matches_loop_reference_bits(instance, monkeypatch):
     # the reference run also scores every state it visits with the loop gap
     got = solve_wardrop(*instance())
@@ -467,6 +484,96 @@ def test_route_solver_matches_loop_reference_bits(instance, monkeypatch):
         assert same_bits(got.splits[od], want.splits[od])
     for rid in want.flows:
         assert same_flow_bits(got.flows[rid], want.flows[rid])
+
+
+# -- the averaged-response loop both solvers run --------------------------------------
+
+LOOP_INSTANCES = [
+    pytest.param(solve_wardrop, _corridor_instance, id="route"),
+    pytest.param(solve_departure_choice, _mixed_bottleneck_instance, id="departure"),
+]
+
+
+def _spied_solve(monkeypatch, solve, args, gaps=None, bumps=None):
+    """Run ``solve`` with the loop's callables wrapped.  Returns its state, the
+    (flows, splits, margin error) of every iterate, and the loop's live splits.
+    Where given, ``gaps[n - 1]`` replaces the score of iteration n and
+    ``bumps[n - 1]`` is added to its margin error."""
+    seen, live = [], {}
+    loop = equilibrium._averaged_response
+
+    def spy(network, horizon, config, splits, assemble, respond, step_size):
+        def assemble_spy():
+            flows, margin = assemble()
+            margin += bumps[len(seen)] if bumps else 0.0
+            seen.append((flows, {k: s.copy() for k, s in splits.items()}, margin))
+            return flows, margin
+
+        def respond_spy(it, flows, times):
+            gap, targets = respond(it, flows, times)
+            return (gap if gaps is None else gaps[it - 1]), targets
+
+        state = loop(network, horizon, config, splits, assemble_spy, respond_spy, step_size)
+        live.update(splits)
+        return state
+
+    monkeypatch.setattr(equilibrium, "_averaged_response", spy)
+    return solve(*args), seen, live
+
+
+def _assert_state_of(state, iterate, live):
+    flows, splits, _ = iterate
+    assert state.flows is flows
+    assert state.splits.keys() == splits.keys()
+    for k, s in state.splits.items():
+        assert same_bits(s, splits[k]) and not np.shares_memory(s, live[k])
+
+
+@pytest.mark.parametrize("solve, instance", LOOP_INSTANCES)
+def test_loop_returns_its_first_best_iterate(solve, instance, monkeypatch):
+    args = instance()
+    state, seen, live = _spied_solve(monkeypatch, solve, args)
+    gaps = [g for _, g in state.gap_trace]
+    assert [n for n, _ in state.gap_trace] == list(range(1, len(seen) + 1))
+    best = gaps.index(min(gaps))
+    assert state.gap == gaps[best]
+    assert state.converged == (state.gap <= args[2].tolerance)
+    _assert_state_of(state, seen[best], live)
+    assert state.max_margin_error == max(m for _, _, m in seen)
+
+
+@pytest.mark.parametrize("solve, instance", LOOP_INSTANCES)
+def test_loop_keeps_the_worst_margin_after_its_best_iterate(solve, instance, monkeypatch):
+    args = list(instance())
+    args[2] = replace(args[2], max_iters=5, tolerance=1e-9)
+    gaps = [0.5, 0.2, 0.3, 0.2, 0.4]
+    state, seen, live = _spied_solve(monkeypatch, solve, args, gaps, bumps=[0, 0, 0, 0, 1.0])
+    assert state.gap_trace == list(enumerate(gaps, 1))
+    assert state.gap == 0.2 and not state.converged
+    # the first of the two minima
+    _assert_state_of(state, seen[1], live)
+    assert state.max_margin_error == seen[4][2] >= 1.0
+
+
+@pytest.mark.parametrize("solve, instance", LOOP_INSTANCES)
+def test_loop_stops_at_the_first_iterate_within_tolerance(solve, instance, monkeypatch):
+    args = list(instance())
+    args[2] = replace(args[2], max_iters=5, tolerance=0.2)
+    state, seen, live = _spied_solve(monkeypatch, solve, args, gaps=[0.5, 0.3, 0.2, 0.1, 0.0])
+    assert state.gap_trace == [(1, 0.5), (2, 0.3), (3, 0.2)] and len(seen) == 3
+    assert state.gap == 0.2 and state.converged
+    _assert_state_of(state, seen[2], live)
+
+
+@pytest.mark.parametrize("solve, instance", LOOP_INSTANCES)
+def test_loop_runs_a_single_iteration(solve, instance, monkeypatch):
+    args = list(instance())
+    args[2] = replace(args[2], max_iters=1)
+    state, [first], live = _spied_solve(monkeypatch, solve, args)
+    assert state.iterations == 1 and state.gap_trace == [(1, state.gap)]
+    assert state.converged == (state.gap <= args[2].tolerance)
+    assert state.max_margin_error == first[2]
+    _assert_state_of(state, first, live)
 
 
 @st.composite
