@@ -69,11 +69,10 @@ class PiecewiseLinearMap:
             return float(ys[0] + self.lo_slope * (x - xs[0]))
         if j == xs.size:
             return float(ys[-1] + self.hi_slope * (x - xs[-1]))
+        if x == xs[j]:
+            return float(ys[j])
         i = j - 1
-        dx = xs[j] - xs[i]
-        if dx == 0.0:
-            return float(ys[i])
-        return float(ys[i] + (x - xs[i]) * (ys[j] - ys[i]) / dx)
+        return float(ys[i] + (x - xs[i]) * (ys[j] - ys[i]) / (xs[j] - xs[i]))
 
     def values(self, x) -> np.ndarray:
         """``value`` at every point of ``x``, bit for bit, in one pass."""
@@ -110,7 +109,9 @@ class PiecewiseLinearMap:
             inside = ys[k] + (x - xs[k]) * (ys[k1] - ys[k]) / dx
             below = ys[0] + self.lo_slope * (x - xs[0])
             above = ys[-1] + self.hi_slope * (x - xs[-1])
-        inside = np.where(dx == 0.0, ys[k], inside)
+        # a left reading at a vertex is that vertex's value, not its rounded
+        # interpolation from the vertex before
+        inside = np.where(dx == 0.0, ys[k], np.where(x == xs[k1], ys[k1], inside))
         return np.where(i < 0, below, np.where(i >= last, above, inside))
 
     # -- inversion ---------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arcs import _positive_part
 from .errors import DegenerateDemand, NoRoute, ValidationError
-from .flows import CumulativeFlow, Horizon, sum_flows
+from .flows import CumulativeFlow, Horizon, _from_rates, sum_flows
 from .network import Network, RouteFlowPattern, TravelTimePattern, load, route_times
 
 logger = logging.getLogger(__name__)
@@ -181,9 +181,14 @@ def induced_flows(
         i = np.searchsorted(q.times, pts[:-1], side="right") - 1
         density = np.where(i < 0, 0.0, q.slopes[np.maximum(i, 0)])
         bin_of = np.searchsorted(edges, pts[:-1], side="right") - 1
+        widths = pts[1:] - pts[:-1]
         for k, rid in enumerate(network.routes_between(*od)):
-            masses = share[k, bin_of] * density * (pts[1:] - pts[:-1])
-            flows[rid] = CumulativeFlow.from_bins(pts, masses)
+            rates = share[k, bin_of] * density
+            masses = rates * widths
+            # a piece whose mass rounds into the subnormal range lost digits
+            # there: it keeps its density rather than mass / width
+            subnormal = masses < np.finfo(float).tiny
+            flows[rid] = _from_rates(pts, np.where(subnormal, rates, masses / widths))
     return flows
 
 

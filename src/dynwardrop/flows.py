@@ -139,10 +139,7 @@ class CumulativeFlow:
         widths = edges[1:] - edges[:-1]
         if (widths <= 0).any():
             raise ValueError("bin edges must be strictly increasing")
-        rates = masses / widths
-        cums = np.zeros(edges.size)
-        np.cumsum(rates * widths, out=cums[1:])
-        return _build(edges, cums, np.zeros(edges.size), np.append(rates, 0.0))
+        return _from_rates(edges, masses / widths)
 
     @staticmethod
     def from_vertices(
@@ -357,6 +354,15 @@ def _build(times, cums, atoms, slopes) -> CumulativeFlow:
     # the fancy index also copies: the flow freezes its arrays in place
     times, cums, atoms, slopes = times[keep], cums[keep], atoms[keep], slopes[keep]
     return CumulativeFlow(times, cums, atoms, slopes)
+
+
+def _from_rates(edges: np.ndarray, rates: np.ndarray) -> CumulativeFlow:
+    """Absolutely continuous flow with density ``rates[b]`` on
+    ``[edges[b], edges[b + 1])``; the edges increase and the rates are
+    nonnegative."""
+    cums = np.zeros(edges.size)
+    np.cumsum(rates * (edges[1:] - edges[:-1]), out=cums[1:])
+    return _build(edges, cums, np.zeros(edges.size), np.append(rates, 0.0))
 
 
 def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:

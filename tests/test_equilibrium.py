@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynwardrop import equilibrium
 from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel, ConstantModel
@@ -113,6 +113,12 @@ def induced_case_st(draw):
 
 
 @given(induced_case_st())
+@example((  # a subnormal first piece: its mass, density times width, rounds
+    # to a few digits, and its density must not be read back from it
+    CumulativeFlow.piecewise_rate([(0.0, 1.0, 1.75), (2.2250738585e-313, 1.0, 1.0)]),
+    np.array([0.0, 1.0]),
+    np.array([[1.0]]),
+))
 @settings(max_examples=200, deadline=None)
 def test_induced_flows_split_the_demand_density(case):
     q, edges, share = case

@@ -119,6 +119,22 @@ def test_batched_map_evaluation_matches_scalar_bits(m, extra):
     _assert_batched_map_bits(m, probe_points(m.xs, extra))
 
 
+@given(maps_st())
+@example(  # the interpolation from the vertex before reads 6.838390885399393
+    PiecewiseLinearMap(
+        np.array([3.1191954426996964, 6.238390885399393]),
+        np.array([3.7191954426996965, 6.838390885399392]),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_map_left_limit_at_a_vertex_is_its_first_value(m):
+    # at a stored abscissa the left limit is the first ordinate stored there,
+    # not the piece before it interpolated to its end, which can round off
+    first = m.ys[np.searchsorted(m.xs, m.xs, side="left")]
+    assert np.array_equal([m.left_value(x) for x in m.xs], first)
+    assert np.array_equal(m.left_values(m.xs), first)
+
+
 @given(flows_st(), probe_st)
 @example(CumulativeFlow.zero(), [-1.0, 2.5])
 @example(CumulativeFlow.atom_at(1.0, 2.0), [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
@@ -791,6 +807,15 @@ def test_volume_delay_sweep_adds_no_event_at_a_flat_first_exit():
     # backwards (the strict xfail of tests/test_arcs.py)
     CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
+)
+@example(  # the emptied arc's exit vertices at 6.24, 6.84, ... are events
+    # whose successors were not known: each next one is the map's value at
+    # the event, which a left reading there returns unrounded
+    sum_flows([
+        CumulativeFlow.atom_at(0.0, 3.14899430337462),
+        CumulativeFlow.constant_rate(7.0, 8.0, 1.0),
+    ]),
+    ArcPerformanceModel((0.0, 64.0), (0.6, 51.800000000000004)),
 )
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_steps_over_flat_exit_vertices(f, model):
