@@ -56,10 +56,7 @@ class PiecewiseLinearMap:
             return float(ys[0] + self.lo_slope * (x - xs[0]))
         if i == xs.size - 1:
             return float(ys[-1] + self.hi_slope * (x - xs[-1]))
-        dx = xs[i + 1] - xs[i]
-        if dx == 0.0:
-            return float(ys[i])
-        return float(ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / dx)
+        return float(ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]))
 
     def left_value(self, x: float) -> float:
         """Left limit of the map at x."""
@@ -95,23 +92,23 @@ class PiecewiseLinearMap:
     def _between(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Map at x read off the piece from vertex i to vertex i + 1.
 
-        i = -1 and i = last select the boundary extensions, and a piece of
-        zero width (a jump) reads its left vertex, as in ``value``.
+        i = -1 and i = last select the boundary extensions.  A piece read
+        inside has positive width: x lies in [xs[i], xs[i + 1]) for a right
+        reading and in (xs[i], xs[i + 1]] for a left one.
         """
         xs, ys = self.xs, self.ys
         last = xs.size - 1
         k = np.minimum(np.maximum(i, 0), last)
         k1 = np.minimum(k + 1, last)
-        dx = xs[k1] - xs[k]
         # every branch is computed everywhere; the discarded ones may divide
         # by a zero or tiny width, or meet infinite x
         with np.errstate(all="ignore"):
-            inside = ys[k] + (x - xs[k]) * (ys[k1] - ys[k]) / dx
+            inside = ys[k] + (x - xs[k]) * (ys[k1] - ys[k]) / (xs[k1] - xs[k])
             below = ys[0] + self.lo_slope * (x - xs[0])
             above = ys[-1] + self.hi_slope * (x - xs[-1])
         # a left reading at a vertex is that vertex's value, not its rounded
         # interpolation from the vertex before
-        inside = np.where(dx == 0.0, ys[k], np.where(x == xs[k1], ys[k1], inside))
+        inside = np.where(x == xs[k1], ys[k1], inside)
         return np.where(i < 0, below, np.where(i >= last, above, inside))
 
     # -- inversion ---------------------------------------------------------

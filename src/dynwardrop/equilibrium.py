@@ -127,8 +127,9 @@ class SolverConfig:
 
     def bins_for(self, horizon: Horizon) -> int:
         n = horizon.end / self.bin_width
-        # a width far beyond the horizon, or an infinite one, leaves no bin
-        if round(n) < 1 or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        # a width far beyond the horizon, or an infinite one, leaves no bin;
+        # a subnormal one leaves infinitely many
+        if not np.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValidationError("bin width must divide the horizon")
         return int(round(n))
 
@@ -181,14 +182,8 @@ def induced_flows(
         i = np.searchsorted(q.times, pts[:-1], side="right") - 1
         density = np.where(i < 0, 0.0, q.slopes[np.maximum(i, 0)])
         bin_of = np.searchsorted(edges, pts[:-1], side="right") - 1
-        widths = pts[1:] - pts[:-1]
         for k, rid in enumerate(network.routes_between(*od)):
-            rates = share[k, bin_of] * density
-            masses = rates * widths
-            # a piece whose mass rounds into the subnormal range lost digits
-            # there: it keeps its density rather than mass / width
-            subnormal = masses < np.finfo(float).tiny
-            flows[rid] = _from_rates(pts, np.where(subnormal, rates, masses / widths))
+            flows[rid] = _from_rates(pts, share[k, bin_of] * density)
     return flows
 
 

@@ -327,7 +327,7 @@ def test_solver_config_rejects_out_of_range_knobs(kwargs):
         SolverConfig(**kwargs)
 
 
-@pytest.mark.parametrize("bin_width", [3.0, 8.0, 4e10, float("inf")])
+@pytest.mark.parametrize("bin_width", [3.0, 8.0, 4e10, float("inf"), 5e-324])
 def test_bin_width_must_divide_the_horizon(bin_width):
     with pytest.raises(ValidationError, match="must divide the horizon"):
         SolverConfig(bin_width=bin_width).bins_for(H4)
