@@ -10,12 +10,13 @@ Three concrete models are provided.
   sweep steps from event to event (inflow vertices, kinks and atoms of the
   cumulative exits, crossings of the delay function's breakpoints), and
   between events all curves are linear, so the construction is exact (no
-  time grid).  Its exit samples pass through the FIFO filter and grouping of
-  ``pushforward`` (``flows._ExitFront``), and the exits they build are the
-  arc's outflow: no second pass pushes inflow forward.  FIFO holds where
-  D'(v) (e - a) <= 1, with D the delay function and a, e the entry and exit
-  rates; where its samples find it broken, atoms or not, the sweep raises
-  ``FifoViolation``.
+  time grid).  Its exit samples where mass enters pass through the FIFO
+  filter and grouping of ``pushforward`` (``flows._ExitFront``), and the
+  exits they build are the arc's outflow: no second pass pushes inflow
+  forward.  FIFO is over users, the entry instants that carry mass; it holds
+  where D'(v) (e - a) <= 1, with D the delay function and a, e the entry and
+  exit rates.  Where later mass overtakes earlier mass, as when a departing
+  atom drops the volume, the sweep raises ``FifoViolation``.
 * ``BottleneckModel``: a free-flow time followed by a server of finite
   capacity; a point queue forms whenever arrivals outrun the capacity.  The
   cumulative departures are Newell's closed form, read at the arrivals'
@@ -289,39 +290,31 @@ def _volume_exit_sweep(
     linear, and so is the map.  The events are the inflow's vertices, the
     kinks and atoms of E found so far, and the instants where the volume
     crosses a breakpoint of the delay function.  Each event h adds
-    (h, y_left) to the map and, where it jumps, (h, y_right), and passes its
-    entries' exit samples through ``flows._ExitFront``, the FIFO filter and
-    grouping ``pushforward`` uses, which builds E.  A vertex of E that holds
-    no atom and leaves E flat on both sides is no kink, and the sweep steps
-    over it.  The sweep ends once every inflow vertex is done and E holds
-    the total; beyond, the map extends with slope 1.  E is the arc's
-    outflow; ``pushforward`` of the inflow under the map reads it again, up
-    to rounding in its exit times.
-
-    FIFO is also checked at the instants h0 + k * t_min before the inflow
-    ends, where the map is sampled without adding a vertex.  The fixed point
-    over blocks of length t_min in ``tests/loop_reference.py`` checks the
-    same samples, each against the mass that entered by the end of its
-    block, so the two raise alike.  Those block-end samples and tolerances
-    (``block_tolerance``, ``check_until``) belong to the old algorithm, not
-    to the model: they go once the FIFO contract is settled (ROADMAP, "Do
-    first").
+    (h, y_left) to the map and, where it jumps, (h, y_right), and passes the
+    exit samples of the mass entering there through ``flows._ExitFront``,
+    the FIFO filter and grouping ``pushforward`` uses, which builds E; an
+    empty instant adds no vertex to E.  A vertex of E that holds no atom and
+    leaves E flat on both sides, where entering mass rounds away, is no
+    kink, and the sweep steps over it.  The sweep ends once every inflow
+    vertex is done and E holds the total; beyond, the map extends with
+    slope 1.  E is the arc's outflow; ``pushforward`` of the inflow under
+    the map reads it again, up to rounding in its exit times.
 
     Raises:
-        FifoViolation: positive mass is sent backwards or onto one instant.
+        FifoViolation: more than 1e-12 (1 + total) of mass exits before
+            earlier mass, or mass exits onto one instant, not as an atom.
         NonTermination: the next event lies beyond ``h_limit``.
     """
     # Python floats throughout: the vertices number a few hundred, and the
     # per-call cost of numpy would outweigh the arithmetic
     ts, cums = inflow.times.tolist(), inflow.cums.tolist()
     atoms, slopes = inflow.atoms.tolist(), inflow.slopes.tolist()
-    n, total, h_last = len(ts), cums[-1], ts[-1]
+    n, total = len(ts), cums[-1]
     # the delay on [levels[k], levels[k + 1]) is delays[k] + (v - levels[k]) * rise[k] / run[k],
     # as dmap.value reads it; the last piece extends with dmap's final slope
     levels, delays = dmap.xs.tolist(), dmap.ys.tolist()
     rise = [b - a for a, b in zip(delays, delays[1:])] + [float(dmap.hi_slope)]
     run = [b - a for a, b in zip(levels, levels[1:])] + [1.0]
-    d_min = delays[0]
 
     def delay(v: float) -> float:
         """``dmap.value(v)`` for a volume v >= 0."""
@@ -339,39 +332,19 @@ def _volume_exit_sweep(
         d = e_lo[q] - e_hi[q - 1]
         return e_hi[q - 1] + d / (et[q] - et[q - 1]) * (t - et[q - 1]) if d > 0.0 else e_hi[q - 1]
 
-    def block_tolerance(end: float) -> float:
-        """pushforward's tolerance for the inflow up to the block end: the
-        mass that entered by then, or all of it."""
-        if end >= h_last:
-            return 1e-12 * (1.0 + total)
-        j = bisect_right(ts, end) - 1
-        return 1e-12 * (1.0 + cums[j] + slopes[j] * (end - ts[j]))
-
-    def check_until(x: float) -> None:
-        """Check FIFO at the instants h0 + k * t_min before the event x, as
-        samples of the map's stretch from h that add no vertex."""
-        nonlocal check_at
-        while check_at < x and check_at < h_last:
-            if check_at > h:
-                a = cums[i - 1] + rate * (check_at - ts[i - 1])
-                check(check_at + delay(max(0.0, a - exits_at(check_at))), a, check_at)
-            check_at += d_min
-            front.tiny = block_tolerance(check_at)
-
-    # E starts at the empty arc's first exit.  check_at is the first instant
-    # h0 + k * t_min after h, and the samples up to it take the tolerance of
-    # the mass that entered by then
+    # E starts at the first exit, that of the first instant's right limit
     h = ts[0]
-    check_at = h + d_min
-    front = _ExitFront(check_at, 0.0, h, block_tolerance(check_at))
+    front = _ExitFront(h + delay(cums[0]), 0.0, h, 1e-12 * (1.0 + total))
     et, e_lo, e_hi = front.et, front.e_lo, front.e_hi
-    sample, add, check = front.sample, front.add, front.check
+    sample, add = front.sample, front.add
     xs: list[float] = []
     ys: list[float] = []
     i, q = 1, 0  # vertices of A and of E at or before h
     a_left, a_right, e_left, e_right = 0.0, cums[0], 0.0, 0.0
+    rate = 0.0
     while True:
-        rate = slopes[i - 1]
+        # the inflow's density before h and after it
+        before, rate = rate > 0.0, slopes[i - 1]
         v_left = a_left - e_left if a_left > e_left else 0.0
         y_left = h + delay(v_left)
         v_right = a_right - e_right if a_right > e_right else 0.0
@@ -383,9 +356,8 @@ def _volume_exit_sweep(
             y_right = y_left
             xs.append(h)
             ys.append(y_left)
-        if h <= h_last:
-            sample(h, y_left, y_right, a_left, a_right)
-        if i == n and e_right >= total - 1e-12 * (1.0 + total):
+        sample(h, y_left, y_right, a_left, a_right, before, rate > 0.0)
+        if i == n and e_right >= total - front.tiny:
             return xs, ys, et, e_lo, e_hi
 
         # the next vertex of A or E, and the left limits there.  A vertex of E
@@ -418,15 +390,12 @@ def _volume_exit_sweep(
             for j in range(k + 1, kb + 1) if vb > v_right else range(k, kb, -1):
                 x = start + (levels[j] - v_right) * (nxt - start) / (vb - v_right)
                 if h < x < nxt:
-                    check_until(x)
                     h, a = x, cums[i - 1] + rate * (x - ts[i - 1])
                     y = x + delay(max(0.0, a - exits_at(x)))
                     xs.append(x)
                     ys.append(y)
-                    if h <= h_last:
+                    if rate > 0.0:
                         add(y, a, h)
-        if check_at < nxt:
-            check_until(nxt)
 
         # step to nxt
         h = nxt

@@ -117,14 +117,10 @@ class PiecewiseLinearMap:
         """sup{x : f(x) <= y}; +/-inf when the level set is unbounded or empty."""
         xs, ys = self.xs, self.ys
         if y >= ys[-1]:
-            if self.hi_slope <= 0:
-                return np.inf
-            return float(xs[-1] + (y - ys[-1]) / self.hi_slope)
+            return self._extension_preimage(y, right=True)
         below = np.nonzero(ys <= y)[0]
         if below.size == 0:
-            if self.lo_slope <= 0:
-                return -np.inf
-            return float(xs[0] + (y - ys[0]) / self.lo_slope)
+            return self._extension_preimage(y, right=False)
         k = int(below[-1])
         # rises from ys[k] <= y to ys[k+1] > y on [xs[k], xs[k+1]]
         dy = ys[k + 1] - ys[k]
@@ -136,19 +132,25 @@ class PiecewiseLinearMap:
         """inf{x : f(x) >= y}; the map must eventually fall below y backwards."""
         xs, ys = self.xs, self.ys
         if y <= ys[0]:
-            if self.lo_slope <= 0:
-                return -np.inf
-            return float(xs[0] + (y - ys[0]) / self.lo_slope)
+            return self._extension_preimage(y, right=False)
         above = np.nonzero(ys >= y)[0]
         if above.size == 0:
-            if self.hi_slope <= 0:
-                return np.inf
-            return float(xs[-1] + (y - ys[-1]) / self.hi_slope)
+            return self._extension_preimage(y, right=True)
         k = int(above[0])
         dy = ys[k] - ys[k - 1]
         if dy <= 0 or xs[k] == xs[k - 1]:
             return float(xs[k])
         return float(xs[k - 1] + (y - ys[k - 1]) * (xs[k] - xs[k - 1]) / dy)
+
+    def _extension_preimage(self, y: float, right: bool) -> float:
+        """Where the extension beyond the last vertex (``right``) or before
+        the first reaches level y; +inf or -inf where its slope is not
+        positive.  A tiny slope overflows to an infinity, as in ``preimages``."""
+        k, slope = (-1, self.hi_slope) if right else (0, self.lo_slope)
+        if slope <= 0:
+            return np.inf if right else -np.inf
+        with np.errstate(all="ignore"):
+            return float(self.xs[k] + (y - self.ys[k]) / slope)
 
     def preimages(self, y) -> tuple[np.ndarray, np.ndarray]:
         """``(preimage_inf, preimage_sup)`` at every level of ``y``, bit for

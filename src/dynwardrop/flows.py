@@ -415,12 +415,13 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     from entry times to exit times.  The result assigns to every interval J
     the mass of its preimage, so total mass is conserved exactly.  The map
     and the flow are read on both sides of the flow's vertices and of the
-    map's kinks between them; these samples pass through ``_ExitFront``, and
-    the image's curve runs through its vertices.
+    map's kinks between them; the samples where mass enters pass through
+    ``_ExitFront``, and the image's curve runs through its vertices.
 
     Raises:
-        FifoViolation: the map decreases, or is constant, across an interval
-            carrying positive mass.
+        FifoViolation: the map sends more than 1e-12 (1 + total) of mass
+            before the exit of earlier mass, or holds it constant over an
+            interval carrying positive mass.
     """
     if flow.is_zero:
         return flow
@@ -429,49 +430,70 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     us = np.union1d(flow.times, kinks[(kinks > t0) & (kinks < t1)])
     tl, tr = curve.sided_values([us, us], [[True], [False]])
     ml, mr = flow.limits(us)
-    front = _ExitFront(float(tl[0]), float(ml[0]), float(us[0]), 1e-12 * (1.0 + flow.total))
-    for args in zip(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist()):
+    # density on the piece after each instant; none enters before the first
+    after = (flow.slopes[np.searchsorted(flow.times, us, side="right") - 1] > 0.0).tolist()
+    before = [False] + after[:-1]
+    front = _ExitFront(float(tr[0]), float(ml[0]), float(us[0]), 1e-12 * (1.0 + flow.total))
+    for args in zip(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist(), before, after):
         front.sample(*args)
     return CumulativeFlow.from_vertices(front.et, front.e_lo, front.e_hi)
 
 
 class _ExitFront:
     """The exits E of a flow through a monotone map, built from samples
-    (exit time, cumulative mass) taken entry instant by entry instant.
+    (exit time, cumulative mass) taken entry instant by entry instant where
+    mass enters: an empty instant neither moves the front nor adds a vertex
+    of E.
 
     The front ``(lt, lm, lu)`` is the latest exit accepted, the mass that has
-    left by then and its entry instant.  A later exit moves the front on.
-    One at or before it is accepted only with at most ``tiny`` more mass (a
-    wobble, or a flat stretch over no mass: the front takes the higher
-    level), or as an atom: more mass from the front's own entry instant,
-    within ``MERGE_TOL`` of its exit, rises vertically there.  Accepted exits
-    at most ``MERGE_TOL`` after the first of their group make one vertex
-    of E: at ``et[k]`` it rises from ``e_lo[k]`` to ``e_hi[k]``, and it is
-    linear in between, as ``from_vertices`` reads it.
+    left by then and its entry instant.  A later exit moves the front on;
+    where the sample before it lay more than ``MERGE_TOL`` behind the front,
+    the straight line between the two, which is the exits between their
+    entries, may carry at most ``tiny`` more mass than the front's across
+    its level.  An exit at or before the front is accepted only with at most
+    ``tiny`` more mass (a wobble: the front takes the higher level), or as
+    an atom: more mass from the front's own entry instant, within
+    ``MERGE_TOL`` of its exit, rises vertically there.  Accepted exits at
+    most ``MERGE_TOL`` after the first of their group make one vertex of E:
+    at ``et[k]`` it rises from ``e_lo[k]`` to ``e_hi[k]``, and it is linear
+    in between, as ``from_vertices`` reads it.
     """
 
-    __slots__ = ("tiny", "lt", "lm", "lu", "single", "et", "e_lo", "e_hi")
+    __slots__ = ("tiny", "lt", "lm", "lu", "pt", "pm", "single", "et", "e_lo", "e_hi")
 
     def __init__(self, tau: float, m: float, u: float, tiny: float):
         """The front at the first sample ``(tau, m)``, from entry instant u."""
         self.tiny = tiny
         self.lt, self.lm, self.lu = tau, m, u
+        self.pt, self.pm = tau, m  # the sample before
         self.single = True  # the last vertex of E holds one sample
         self.et, self.e_lo, self.e_hi = [tau], [m], [m]
 
-    def sample(self, u: float, y_left: float, y_right: float, a_left: float, a_right: float) -> None:
+    def sample(self, u: float, y_left: float, y_right: float, a_left: float, a_right: float,
+               before: bool, after: bool) -> None:
         """The samples of entry instant u, with exit times ``y_left`` and
         ``y_right`` and cumulative mass ``a_left`` before it and ``a_right``
-        with it: left limit, flat stretch over a jump of the map, atom."""
-        self.add(y_left, a_left, u)
-        if y_right > y_left:
+        with it: the left limit where mass enters just before u; where an
+        atom sits at u or mass enters just after it, the right limit before
+        the atom, then the atom."""
+        if before:
+            self.add(y_left, a_left, u)
+        if after or a_right > a_left:
             self.add(y_right, a_left, u)
-        if a_right > a_left:
-            self.add(y_right, a_right, u)
+            if a_right > a_left:
+                self.add(y_right, a_right, u)
 
     def add(self, tau: float, m: float, u: float) -> None:
-        """Pass one sample through the FIFO filter and the grouping."""
+        """Pass one sample through the FIFO filter and the grouping; raise
+        ``FifoViolation`` where it refuses the sample."""
+        pt, pm = self.pt, self.pm
+        self.pt, self.pm = tau, m
         if tau > self.lt:
+            if pt < self.lt - MERGE_TOL:
+                # the exits between the two samples cross the front's level
+                dm = pm + (m - pm) * ((self.lt - pt) / (tau - pt)) - self.lm
+                if dm > self.tiny:
+                    raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
             if tau > self.et[-1] + MERGE_TOL:
                 self.et.append(tau)
                 self.e_lo.append(m)
@@ -482,8 +504,12 @@ class _ExitFront:
                 self.single = False
             self.lt, self.lm, self.lu = tau, m, u
             return
-        if m - self.lm > self.tiny:
-            self.check(tau, m, u)  # an atom, or it raises
+        dm = m - self.lm
+        if dm > self.tiny:
+            if tau < self.lt - MERGE_TOL:
+                raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
+            if u > self.lu:
+                raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")
             self.single = False
         elif not m > self.lm:
             return
@@ -491,18 +517,3 @@ class _ExitFront:
             self.e_lo[-1] = m
         self.lm, self.lu = m, u
         self.e_hi[-1] = m
-
-    def check(self, tau: float, m: float, u: float) -> None:
-        """Raise where the sample would be refused; add nothing.
-
-        Raises:
-            FifoViolation: more than ``tiny`` mass exits at or before the
-                front, and not as an atom.
-        """
-        dm = m - self.lm
-        if tau > self.lt or dm <= self.tiny:
-            return
-        if tau < self.lt - MERGE_TOL:
-            raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
-        if u > self.lu:
-            raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")

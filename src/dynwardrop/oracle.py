@@ -51,7 +51,9 @@ class GridBundle:
 
 
 def _arc_exit_samples(model, grid: np.ndarray, a_cum: np.ndarray) -> np.ndarray:
-    """Exit times per grid point under forward stepping; nondecreasing."""
+    """Exit times per grid point under forward stepping, finite everywhere;
+    FIFO over the points that carry mass, which ``a_cum`` rises onto: an
+    empty point neither holds back the others nor is held back."""
     n = grid.size
     step = grid[1] - grid[0]
     if isinstance(model, ConstantModel):
@@ -67,22 +69,30 @@ def _arc_exit_samples(model, grid: np.ndarray, a_cum: np.ndarray) -> np.ndarray:
         return np.maximum.accumulate(np.maximum(exits, grid + c))
     if isinstance(model, ArcPerformanceModel):
         dmap = model._delay_map()
+        carries = np.diff(a_cum, prepend=0.0) > 0.0
         exits = np.empty(n)
         j = 0
         for i in range(n):
-            # served mass: entrants whose exit time lies at or before grid[i]
-            while j < i and exits[j] <= grid[i]:
+            # served mass: the entrants up to the first one that carries mass
+            # and has not left by grid[i]
+            while j < i and (exits[j] <= grid[i] or not carries[j]):
                 j += 1
             served = a_cum[j - 1] if j > 0 else 0.0
             vol = max(0.0, a_cum[i] - served)
             exits[i] = grid[i] + dmap.value(vol)
-        return np.maximum.accumulate(exits)
+        return np.where(carries, _front(exits, a_cum), exits)
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
-def _propagate(grid: np.ndarray, cum_in: np.ndarray, exits: np.ndarray) -> np.ndarray:
+def _front(exits: np.ndarray, a_cum: np.ndarray) -> np.ndarray:
+    """The latest exit up to each grid point of those that carry mass, which
+    ``a_cum`` rises onto; -inf before the first."""
+    return np.maximum.accumulate(np.where(np.diff(a_cum, prepend=0.0) > 0.0, exits, -np.inf))
+
+
+def _propagate(grid: np.ndarray, cum_in: np.ndarray, front: np.ndarray) -> np.ndarray:
     """Cumulative outflow samples: mass whose exit time has passed."""
-    idx = np.searchsorted(exits, grid, side="right") - 1
+    idx = np.searchsorted(front, grid, side="right") - 1
     out = np.where(idx >= 0, cum_in[np.maximum(idx, 0)], 0.0)
     return np.maximum.accumulate(out)
 
@@ -115,8 +125,9 @@ def oracle_load(network: Network, route_flows: RouteFlowPattern, grid: GridConfi
         a_cum = np.sum([inflows[aid][r] for r in crossing], axis=0)
         totals[aid] = a_cum
         exits = _arc_exit_samples(network.arcs[aid].model, ts, a_cum)
+        front = _front(exits, a_cum)
         for r, nxt in crossing.items():
-            out = _propagate(ts, inflows[aid][r], exits)
+            out = _propagate(ts, inflows[aid][r], front)
             outflows[aid][r] = out
             if nxt is not None:
                 inflows[nxt][r] = out

@@ -9,8 +9,10 @@ change moves, bit for bit:
 The loads are the benchmark's 24 ladders at 5 and at 8 stages (the
 ``ladder_load`` instances of ``perfbench/workloads.py``), the acceptance
 fixtures without a frontier step, at t_min* and at t_min*/2, the rotary, the
-spur, ladder fixtures 2, 3 and 5, and the 40 jittered ladders (seeds 0-9,
-m 0-3).  The solves are the departure- and route-choice instances of the
+spur, ladder fixtures 2, 3 and 5, the 40 jittered ladders (seeds 0-9,
+m 0-3), and the four one-arc loads that pin the volume-delay FIFO contract
+(``fifo_contract_fixtures``; a load that raises ``FifoViolation`` prints
+the digest of its message).  The solves are the departure- and route-choice instances of the
 loop-reference bit tests in ``tests/test_equilibrium.py`` and the seed-0
 ``corridor_wardrop`` and ``commute_dtc_cli`` benchmark solves.  pytest does
 not collect this file.
@@ -30,10 +32,12 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent)]
 
 from dynwardrop.equilibrium import solve_departure_choice, solve_wardrop  # noqa: E402
+from dynwardrop.errors import FifoViolation  # noqa: E402
 from dynwardrop.flows import Horizon  # noqa: E402
 from dynwardrop.network import load, route_times  # noqa: E402
 from fixtures import (  # noqa: E402
     acceptance_fixtures,
+    fifo_contract_fixtures,
     jittered_ladder_fixture,
     ladder_fixture,
     rotary_fixture,
@@ -116,6 +120,8 @@ def loads():
         for m in range(4):
             fx = jittered_ladder_fixture(seed, m)
             yield fx.name, fx.network, fx.flows, fx.horizon.end, None
+    for fx in fifo_contract_fixtures():
+        yield fx.name, fx.network, fx.flows, fx.horizon.end, None
 
 
 def _named(instances):
@@ -139,7 +145,11 @@ def solves():
 
 def main() -> int:
     for name, net, x, end, step in loads():
-        bundle = load(net, x, frontier_step=step)
+        try:
+            bundle = load(net, x, frontier_step=step)
+        except FifoViolation as exc:
+            print(name, hashlib.sha256(str(exc).encode()).hexdigest(), flush=True)
+            continue
         print(name, bundle_digest(net, bundle, route_times(net, bundle, Horizon(end))), flush=True)
     for name, state in solves():
         print(name, state_digest(state), flush=True)

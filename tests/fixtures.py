@@ -2,8 +2,8 @@
 
 Ten small instances (at most 6 arcs, 4 routes) covering every arc model,
 shared arcs, chains, and point masses.  Point masses never reach a
-volume-delay arc directly: that combination is outside the model family's
-admissible inputs (the released mass would overtake).
+volume-delay arc directly there: a departing atom drops the volume and can
+let later mass overtake.  Four one-arc loads pin that FIFO contract.
 
 Two more families stress the loader's two paths: short ladders, where four
 routes share parallel bottleneck and volume-delay arcs stage after stage
@@ -305,3 +305,33 @@ def spur_fixture() -> Fixture:
         "long": CumulativeFlow.piecewise_rate([(0.25, 1.5, 1.0), (2.0, 2.5, 0.6)]),
     }
     return Fixture("spur", network, flows, Horizon(4.0))
+
+
+def fifo_contract_fixtures() -> list[Fixture]:
+    """One-arc loads that pin the volume-delay arc's FIFO contract: the exit
+    front moves only with entering mass.
+
+    - ``fifo_empty_stretch``: an atom of 2, then a pulse after an empty
+      stretch whose instants would exit after the pulse's first entrants.
+    - ``fifo_overlapping_pulses``: a slow pulse enters while a fast one
+      leaves; the empty instants between them exit after its first entrants.
+    - ``fifo_two_atoms``: atoms of 1 at 0 and at 3; nothing enters between.
+    - ``fifo_overtaking_atom``: the atom of 1 at 0 leaves at 1.0 and drops
+      the volume, so the entrants on ]1, 10/7[ (3/7 units) exit before those
+      just before 1: the load raises ``FifoViolation``.
+    """
+    piecewise = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
+    atom = CumulativeFlow.atom_at
+    cases = [
+        ("fifo_empty_stretch", ArcPerformanceModel.affine(1.0, 0.5),
+         sum_flows([atom(0.0, 2.0), CumulativeFlow.constant_rate(2.0, 5.0, 1.0)])),
+        ("fifo_overlapping_pulses", piecewise,
+         CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)])),
+        ("fifo_two_atoms", piecewise, sum_flows([atom(0.0, 1.0), atom(3.0, 1.0)])),
+        ("fifo_overtaking_atom", piecewise,
+         sum_flows([atom(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 2.0, 1.0)])),
+    ]
+    return [
+        Fixture(name, Network({"p": Arc("A", "B", model)}, {"r": ("p",)}), {"r": flow}, Horizon(10.0))
+        for name, model, flow in cases
+    ]

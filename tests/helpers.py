@@ -23,23 +23,21 @@ def curve_linf(f: CumulativeFlow, g: CumulativeFlow, extra: np.ndarray | None = 
     return max(abs(f.value(t) - g.value(t)) for t in grid)
 
 
-def knot_linf(f, g, knots, beyond: bool = True) -> float:
+def knot_linf(f, g, knots) -> float:
     """L-infinity distance between two right-continuous piecewise-linear
     functions, exit maps or cumulative curves, read at their knots.
 
     Knots closer than ``MERGE_TOL`` form one cluster, read from outside: the
     left limit at its first knot and the value at its last.  So a jump that
     two computations place a rounding error apart counts once.  The midpoints
-    between clusters cover the pieces, and unless ``beyond`` is false, so
-    does one point beyond each end.
+    between clusters cover the pieces, and so does one point beyond each
+    end.
     """
     k = np.unique(np.asarray(knots, dtype=float))
     cut = np.flatnonzero(k[1:] - k[:-1] > MERGE_TOL)
     starts = np.concatenate([k[:1], k[cut + 1]])
     ends = np.concatenate([k[cut], k[-1:]])
-    pts = np.concatenate([ends, (ends[:-1] + starts[1:]) / 2])
-    if beyond:
-        pts = np.concatenate([pts, [starts[0] - 1.0, ends[-1] + 1.0]])
+    pts = np.concatenate([ends, (ends[:-1] + starts[1:]) / 2, [starts[0] - 1.0, ends[-1] + 1.0]])
     return max(
         float(np.max(np.abs(f.left_values(starts) - g.left_values(starts)))),
         float(np.max(np.abs(f.values(pts) - g.values(pts)))),

@@ -558,8 +558,9 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     the mass of its preimage, so total mass is conserved exactly.
 
     Raises:
-        FifoViolation: the map decreases, or is constant, across an interval
-            carrying positive mass.
+        FifoViolation: the map sends more than 1e-12 (1 + total) of mass
+            before the exit of earlier mass, or holds it constant over an
+            interval carrying positive mass.
     """
     if flow.is_zero:
         return flow
@@ -568,41 +569,57 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     inner = kinks[(kinks > t0) & (kinks < t1)]
     us = np.union1d(flow.times, inner)
 
-    # Sample (exit time, cumulative mass, entry time) vertices.  Each entry
-    # instant u contributes its left limit, a flat stretch across any jump of
-    # the map, and a vertical rise for an atom of the flow.
+    # Sample (exit time, cumulative mass, entry time) vertices where mass
+    # enters.  Each entry instant u contributes its left limit where mass
+    # enters just before u; where an atom sits at u or mass enters just
+    # after it, the right limit before the atom, then a vertical rise for
+    # the atom.
     taus: list[float] = []
     masses: list[float] = []
     sources: list[float] = []
+    before = False
     for u in us:
         tl, tr = curve.left_value(u), curve.value(u)
         ml, mr = flow.left_value(u), flow.value(u)
-        taus.append(tl)
-        masses.append(ml)
-        sources.append(u)
-        if tr > tl:
+        after = flow.slope_at(u) > 0.0
+        if before:
+            taus.append(tl)
+            masses.append(ml)
+            sources.append(u)
+        if after or mr > ml:
             taus.append(tr)
             masses.append(ml)
             sources.append(u)
-        if mr > ml:
-            taus.append(tr)
-            masses.append(mr)
-            sources.append(u)
+            if mr > ml:
+                taus.append(tr)
+                masses.append(mr)
+                sources.append(u)
+        before = after
 
     total = flow.total
     tiny = 1e-12 * (1.0 + total)
     out_t: list[float] = [taus[0]]
     out_m: list[float] = [masses[0]]
     out_u: list[float] = [sources[0]]
-    for tau, m, u in zip(taus[1:], masses[1:], sources[1:]):
+    for k in range(1, len(taus)):
+        tau, m, u = taus[k], masses[k], sources[k]
         dm = m - out_m[-1]
         if tau > out_t[-1]:
+            # the exits since the sample before, if it lay behind the front,
+            # cross the front's level
+            pt, pm = taus[k - 1], masses[k - 1]
+            if pt < out_t[-1] - MERGE_TOL:
+                over = pm + (m - pm) * ((out_t[-1] - pt) / (tau - pt)) - out_m[-1]
+                if over > tiny:
+                    raise FifoViolation(
+                        f"map sends mass {over:.3g} backwards near entry time {u:.6g}"
+                    )
             out_t.append(tau)
             out_m.append(m)
             out_u.append(u)
             continue
         if dm <= tiny:
-            # monotone wobble or flat stretch over zero mass: keep the level
+            # monotone wobble: keep the level
             if m > out_m[-1]:
                 out_m[-1] = m
                 out_u[-1] = u

@@ -14,7 +14,7 @@ from dynwardrop.arcs import (
     check_assumptions,
 )
 from dynwardrop.curves import ExitTimeCurve
-from dynwardrop.errors import FifoViolation, ModelParameterError
+from dynwardrop.errors import ModelParameterError
 from dynwardrop.flows import CumulativeFlow, Horizon, sum_flows
 
 from helpers import slope_mismatch
@@ -66,12 +66,10 @@ def test_volume_delay_zero_inflow_is_free_flow():
         assert model.travel_time(CumulativeFlow.zero(), h) == pytest.approx(1.0)
 
 
-@pytest.mark.xfail(raises=FifoViolation, strict=True, reason=(
-    "open defect (ROADMAP): the on-arc volume falls fast enough that later "
-    "entrants exit earlier, and the exit map runs backwards"
-))
 def test_volume_delay_keeps_fifo_on_absolutely_continuous_inflow():
-    # 12 units at rate 12, then a slow pulse that enters while the first leaves
+    # 12 units at rate 12, then a slow pulse that enters while the first
+    # leaves.  The empty instants near 4.7 exit at 7.600, after the pulse's
+    # first entrants (7.590), but carry no mass: nobody overtakes
     model = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
     inflow = CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)])
     out = model.exit_profile(inflow).outflow

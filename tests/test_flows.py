@@ -500,6 +500,7 @@ def _same_map_bits(got, want) -> bool:
 # a jump from -0.0 to 0.0: inf lands on the jump's right end, sup on its left
 @example(PiecewiseLinearMap(np.array([-0.0, 0.0]), np.array([0.0, 1.0]), 1.0, 1.0), [])
 @settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batched_preimages_match_scalar_bits(m, extra):
     # levels at the vertices, between them, beyond both ends; flat and zero slopes
     levels = probe_points(np.sort(m.ys), extra)
@@ -516,6 +517,7 @@ def test_batched_preimages_match_scalar_bits(m, extra):
     PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.5, 2.5, 0.5]), 1.0, 0.0),
 )
 @settings(max_examples=400, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_compose_after_matches_loop_reference_bits(outer, inner):
     # inner maps that jump, stay flat and fall; boundary slopes that are 0
     assert _same_map_bits(outer.compose_after(inner), loop_reference.compose_after(outer, inner))
@@ -636,59 +638,88 @@ def _close_profiles(f: CumulativeFlow):
     return close
 
 
-def _mass_behind_front(f: CumulativeFlow, curve) -> float:
-    """The largest mass of f that ``curve`` sends, on one of its pieces, more
-    than MERGE_TOL before the front: the latest exit of an earlier entry
-    instant, as pushforward's FIFO filter keeps it, but read between the
-    samples too."""
+def _inflow_knots(f: CumulativeFlow, curve) -> np.ndarray:
+    """The instants, from f's first vertex to its last, where f or the map
+    has a vertex: both are linear between two of them."""
     if f.is_zero:
-        return 0.0
+        return np.empty(0)
     us = np.unique(np.concatenate([f.times, curve.xs]))
-    us = us[(us >= f.times[0]) & (us <= f.times[-1])]
+    return us[(us >= f.times[0]) & (us <= f.times[-1])]
+
+
+def _mass_behind_front(f: CumulativeFlow, curve) -> float:
+    """The largest mass of f that ``curve`` sends, as an atom or on one of
+    f's mass-carrying pieces, more than MERGE_TOL before the front: the
+    latest exit of earlier mass, read between the vertices too."""
+    us = _inflow_knots(f, curve)
     front, worst = -np.inf, 0.0
-    for a, b in zip(us[:-1], us[1:]):
-        ya, yb = curve.value(a), curve.left_value(b)
-        front = max(front, curve.left_value(a), ya)
-        limit = front - MERGE_TOL
-        if min(ya, yb) >= limit:
+    for k, a in enumerate(us):
+        ya, rate = curve.value(a), f.slope_at(a)
+        if ya < front - MERGE_TOL:
+            worst = max(worst, f.atom_mass(a))
+        if f.atom_mass(a) > 0 or rate > 0:
+            front = max(front, ya)
+        if rate == 0:
             continue
-        # the linear piece lies below the limit on [lo, hi]
-        cut = a + (limit - ya) * (b - a) / (yb - ya) if max(ya, yb) > limit else None
-        lo, hi = (a, b) if cut is None else (cut, b) if ya > limit else (a, cut)
-        worst = max(worst, f.value(hi) - f.value(lo))
+        b = us[k + 1]
+        yb = curve.left_value(b)
+        limit = front - MERGE_TOL
+        if min(ya, yb) < limit:
+            # the linear piece lies below the limit on [lo, hi]
+            cut = a + (limit - ya) * (b - a) / (yb - ya) if max(ya, yb) > limit else None
+            lo, hi = (a, b) if cut is None else (cut, b) if ya > limit else (a, cut)
+            worst = max(worst, rate * (hi - lo))
+        front = max(front, yb)
     return worst
 
 
-def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
-    """The sweep raises FifoViolation where the block loop does, and returns
-    a close profile where the block loop returns.
+def _exit_miss(f: CumulativeFlow, profile) -> float:
+    """The largest gap between E(X(u)) and A(u), for the outflow E, the map
+    X and the inflow A, read at f's atoms, at the start and the midpoint of
+    each of its mass-carrying pieces, all from the right."""
+    us = _inflow_knots(f, profile.curve)
+    mids = (us[:-1] + us[1:]) / 2
+    carrying = f.values(mids) > f.values(us[:-1])
+    pts = np.concatenate([us[:-1][carrying], mids[carrying], f.times[f.atoms > 0]])
+    miss = profile.outflow.values(profile.curve.values(pts)) - f.values(pts)
+    return float(np.max(np.abs(miss), initial=0.0))
 
-    Both check FIFO the way pushforward does, at samples only, so a map can
-    send mass behind its exit front between two samples unseen.  Where the
-    block loop's map does so, by more than tiny, the front, and with it the
-    exits, depend on where each computation sampled.  There the sweep must
-    still return, with a map that does the same, agrees with the block
-    loop's at the knots up to the inflow's last vertex and at the midpoints
-    between them, and carries the inflow's mass; the map beyond and the
-    outflow are left unchecked.  A FifoViolation's message names the sample
-    where the check fired, so only its type is compared.
+
+def _meets_model(f: CumulativeFlow, profile) -> bool:
+    """The profile of inflow f carries its mass, sends at most
+    1e-12 (1 + total) of it behind the front of earlier mass, and lets every
+    entrant leave when the exits reach the mass that entered by then, within
+    1e-9 (1 + total)."""
+    return (
+        abs(profile.outflow.total - f.total) <= 1e-12 * f.total
+        and _mass_behind_front(f, profile.curve) <= 1e-12 * (1.0 + f.total)
+        and _exit_miss(f, profile) <= 1e-9 * (1.0 + f.total)
+    )
+
+
+def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
+    """Where the block loop returns a profile that meets the model, the sweep
+    returns a close one.  Elsewhere the sweep meets the model itself: it
+    raises FifoViolation, or returns a profile that meets it.
+
+    The block loop checks FIFO at its samples only, so its map can send mass
+    behind the exit front between two samples unseen, and its exits then
+    depend on where it sampled; the sweep checks the straight lines between
+    its samples too.
     """
     got = outcome(model.exit_profile, f)[:2]
     want = outcome(loop_reference.volume_delay_exit_profile, model, f)[:2]
-    tol = 1e-12 * (1.0 + f.total)
-    if want[0] == "ok" and _mass_behind_front(f, want[1].curve) > tol:
-        assert got[0] == "ok", got
-        g, w = got[1], want[1]
-        assert _mass_behind_front(f, g.curve) > tol
-        xs = np.concatenate([g.curve.xs, w.curve.xs])
-        assert knot_linf(g.curve, w.curve, xs[xs <= f.times[-1]], beyond=False) <= tol
-        assert abs(g.outflow.total - f.total) <= 1e-12 * f.total
-        return
-    assert same_outcome(got, want, _close_profiles(f))
+    if want[0] == "ok" and _meets_model(f, want[1]):
+        assert same_outcome(got, want, _close_profiles(f))
+    elif got[0] == "raises":
+        assert got[1] is FifoViolation, got
+    else:
+        assert _meets_model(f, got[1])
 
 
 @given(flows_st(max_atoms=0), delay_models_st)
-@example(  # the on-arc volume falls fast enough that the map runs backwards
+@example(  # the empty instants between the pulses exit after the second
+    # pulse's first entrants; they move no front, and both load
     CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
 )
@@ -718,8 +749,7 @@ affine_models_st = st.sampled_from([
 
 @given(flows_st(), affine_models_st)
 @example(  # an atom leaves before the inflow resumes, and the resumed entries
-    # exit before an empty instant does; only an instant h0 + k * t_min
-    # samples that stretch of the map
+    # exit before an empty instant does, which moves no front: both load
     CumulativeFlow.from_vertices(
         [6.303177554434782, 8.49044521859272, 11.522804130384685],
         [0.0, 1.8198573167186636, 11.596615560488324],
@@ -727,8 +757,9 @@ affine_models_st = st.sampled_from([
     ),
     ArcPerformanceModel.affine(0.6, 0.8),
 )
-@example(  # 1.17e-11 sent backwards: above the tolerance of the mass entered
-    # by the end of its block, below that of the whole inflow
+@example(  # the block loop raises on 1.17e-11 sent backwards, above the
+    # tolerance of the mass entered by the end of its block; the sweep, with
+    # the whole inflow's, raises where 1.15 overtakes the departing atom of 4
     CumulativeFlow(
         np.array([0.0, 1.0, 2.01171875, 3.0, 4.0]),
         np.array([3.0, 8.000000001, 8.000000002011719, 8.000000002011719, 11.000000002011719]),
@@ -737,8 +768,7 @@ affine_models_st = st.sampled_from([
     ),
     ArcPerformanceModel.affine(0.5, 0.5),
 )
-@example(  # the exits stay flat from 7.1269 on, but the sample at 7.1422
-    # reads one ulp less mass: no kink of E, and no event of the sweep
+@example(  # a departing atom drops the volume, and 0.627 overtakes: both raise
     CumulativeFlow(
         np.array([0.09757317788683162, 2.7253067733362006, 3.5236156624432002, 3.616758500674251,
                   4.350223188805252, 4.439820691550813, 8.446976668066739]),
@@ -749,8 +779,8 @@ affine_models_st = st.sampled_from([
     ),
     ArcPerformanceModel.affine(0.5, 0.5),
 )
-@example(  # an atom at the first instant: E is 0 up to its exit, so the
-    # first exit sample, at h0 + t_min, is no kink of E either
+@example(  # an atom at the first instant; a departing atom drops the volume,
+    # and 3.17 overtakes: both raise
     CumulativeFlow(
         np.array([0.9120171424611312, 3.385390044624248, 3.711748729801373, 3.9326213782161448,
                   5.858397316803732, 7.077721258411771, 8.130867999521268]),
@@ -762,9 +792,7 @@ affine_models_st = st.sampled_from([
     ),
     ArcPerformanceModel.affine(1.0, 0.5),
 )
-@example(  # both maps send mass behind the exit front; after the inflow's
-    # end they differ by 3e-5, where the block loop's map runs empty before
-    # its own outflow carries the total
+@example(  # a departing atom drops the volume, and 0.158 overtakes: both raise
     CumulativeFlow(
         np.array([0.0, 1.25, 3.875, 9.125, 10.625]),
         np.array([0.25, 4.21875, 7.171875, 7.171875, 7.546875]),
@@ -773,8 +801,8 @@ affine_models_st = st.sampled_from([
     ),
     ArcPerformanceModel.affine(0.6, 0.8),
 )
-@example(  # both maps send mass behind the exit front; they agree at every
-    # knot up to the inflow's end, 2.75, and differ by 1.8e-4 one unit later
+@example(  # the atom at 0 drops the volume as it leaves, and 0.0308 of the
+    # entrants after it overtake: both raise
     sum_flows([CumulativeFlow.atom_at(0.0, 0.25), CumulativeFlow.constant_rate(0.0, 2.75, 0.25)]),
     ArcPerformanceModel.affine(1.0, 0.5),
 )
@@ -786,11 +814,12 @@ def test_volume_delay_sweep_matches_block_reference_with_atoms(f, model):
 
 
 def test_volume_delay_sweep_adds_no_event_at_a_flat_first_exit():
-    # the arc is empty up to the atom's exit at 1.0, so the first exit
-    # sample, at h0 + t_min = 0.5, is no kink of the exits and no vertex of
-    # the map; the block loop's map has none there either
+    # the arc is empty up to the atom's exit at 1.0, so h0 + t_min = 0.5 is
+    # no kink of the exits and no vertex of the map; the block loop's map has
+    # none there either.  Nobody enters after 0.75, so nobody overtakes when
+    # the atom leaves (test_volume_delay_rejects_entrants_overtaking_a_departing_atom)
     model = ArcPerformanceModel.affine(0.5, 0.5)
-    f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 3.0, 1.0)])
+    f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 0.75, 1.0)])
     got = model.exit_profile(f).curve
     want = loop_reference.volume_delay_exit_profile(model, f).curve
     assert 0.5 not in got.xs and 0.5 not in want.xs
@@ -798,19 +827,18 @@ def test_volume_delay_sweep_adds_no_event_at_a_flat_first_exit():
 
 
 @given(flows_st() | flows_st(max_atoms=0), delay_models_st | affine_models_st)
-@example(  # two pulses with an empty stretch between them: E is flat at
-    # 2.25 and 2.75, and the sweep steps over both
+@example(  # two pulses with an empty stretch between them, whose instants
+    # add no vertex to E
     CumulativeFlow.piecewise_rate([(0.0, 0.5, 1.0), (2.0, 3.0, 1.0)]),
     ArcPerformanceModel.affine(1.0, 0.5),
 )
-@example(  # steps over the flat exit vertex at 7.25, then sends mass
-    # backwards (the strict xfail of tests/test_arcs.py)
+@example(  # a slow pulse enters while a fast one leaves; the empty instants
+    # between them exit after its first entrants and add no vertex to E
     CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
 )
-@example(  # the emptied arc's exit vertices at 6.24, 6.84, ... are events
-    # whose successors were not known: each next one is the map's value at
-    # the event, which a left reading there returns unrounded
+@example(  # nothing enters on ]0, 7[: the emptied arc's exit times at 6.24,
+    # 6.84, ... are no vertices of E and no events
     sum_flows([
         CumulativeFlow.atom_at(0.0, 3.14899430337462),
         CumulativeFlow.constant_rate(7.0, 8.0, 1.0),
@@ -844,14 +872,10 @@ def test_volume_delay_sweep_steps_over_flat_exit_vertices(f, model):
         assert k + 1 == len(et) or et[k + 1] >= curve.left_value(t), (t, et[k + 1])
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "open defect (CHANGES.md FOUND): the FIFO filter takes the exit front from "
-    "empty entry instants too, so entrants behind that front exit late"
-))
 def test_outflow_meets_inflow_through_the_exit_map_after_an_empty_stretch():
     # the atom of 2 leaves at 2; nobody enters on ]0, 2[, whose exit times run
-    # up to 4, and the entrants from 2 on, which exit from 3 on, are pushed
-    # behind that front: the map sends 2/3 behind it (_mass_behind_front)
+    # up to 4, and the entrants from 2 on exit from 3 on: they are behind no
+    # earlier mass, and the empty instants move no exit front
     model = ArcPerformanceModel.affine(1.0, 0.5)
     f = sum_flows([CumulativeFlow.atom_at(0.0, 2.0), CumulativeFlow.constant_rate(2.0, 5.0, 1.0)])
     profile = model.exit_profile(f)
@@ -860,3 +884,29 @@ def test_outflow_meets_inflow_through_the_exit_map_after_an_empty_stretch():
         # every entrant leaves when the exits reach the mass that entered by then
         miss = np.max(np.abs(out.values(profile.curve.values(us)) - f.values(us)))
         assert miss <= 1e-12 * (1.0 + f.total)
+
+
+def test_volume_delay_map_has_no_vertex_where_nothing_enters_or_leaves():
+    # the atom at 0 leaves at 1.0, the one at 3 at 4.0; nothing enters or
+    # leaves in between, so no exit vertex and no event lies there, and the
+    # map is h + 0.6 without a vertex
+    model = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
+    f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.atom_at(3.0, 1.0)])
+    profile = model.exit_profile(f)
+    assert profile.curve.xs.tolist() == [0.0, 0.0, 1.0, 1.0, 3.0, 3.0, 4.0, 4.0]
+    assert profile.outflow.times.tolist() == [1.0, 4.0]
+    assert profile.outflow.atoms.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("model", [
+    ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
+    ArcPerformanceModel.affine(0.5, 0.5),
+])
+def test_volume_delay_rejects_entrants_overtaking_a_departing_atom(model):
+    # an atom of 1 at 0 and rate 1 on [0, 2]: the atom leaves at 1.0, and the
+    # volume drops from 2 to 1.  The map falls from 2.5 to 2.0 at entry 1, and
+    # the entrants on ]1, 10/7[, 3/7 units, exit before those just before 1,
+    # wherever the samples fall
+    f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 2.0, 1.0)])
+    with pytest.raises(FifoViolation, match="map sends mass 0.429 backwards"):
+        model.exit_profile(f)

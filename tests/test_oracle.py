@@ -9,6 +9,8 @@ from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import Arc, Network, load
 from dynwardrop.oracle import GridConfig, compare_to_exact, oracle_load
 
+from fixtures import fifo_contract_fixtures
+
 
 def chain_net():
     return Network(
@@ -68,6 +70,20 @@ def test_volume_delay_converges_to_exact():
         gb = oracle_load(net, x, GridConfig(0.5 / (8.0 * k)))
         errs.append(compare_to_exact(net, exact, gb))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("fx", fifo_contract_fixtures()[:2], ids=lambda fx: fx.name)
+def test_volume_delay_grid_loader_converges_where_empty_instants_exit_late(fx):
+    # empty instants exit after the next pulse's first entrants; on the grid,
+    # as in the exact loader, they neither hold back nor delay anyone
+    exact = load(fx.network, fx.flows)
+    step = fx.network.t_min_star
+    errs = [
+        compare_to_exact(fx.network, exact, oracle_load(fx.network, fx.flows, GridConfig(step / k)))
+        for k in (8, 16, 32, 64)
+    ]
+    assert all(b <= 0.6 * a for a, b in zip(errs, errs[1:])), errs
+    assert errs[-1] < 0.25
 
 
 def test_instance_size_guard():
