@@ -401,10 +401,14 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         cums += f.values(ends_a)
         i = np.searchsorted(f.times, mids, side="right") - 1
         slopes[:-1] += np.where(i < 0, 0.0, f.slopes[np.maximum(i, 0)])
-    # the curve starts from zero mass: its first vertex holds all the mass up
-    # to the end of its cluster as an atom, also where that cluster spans
-    # distinct instants and the parts carry mass inside it
-    atoms[0] = cums[0]
+    # the curve starts from zero mass: where density carries on after the
+    # first cluster, the density inside it, when more than rounding twins
+    # hold, joins the next piece, as a later cluster's joins the piece
+    # before it; elsewhere the first vertex holds it all as an atom
+    if slopes[0] > 0.0 and cums[0] - atoms[0] > 1e-12 * (1.0 + cums[-1]):
+        cums[0] = atoms[0]
+    else:
+        atoms[0] = cums[0]
     return _build(reps_a, cums, atoms, slopes)
 
 

@@ -52,8 +52,8 @@ class GridBundle:
 
 def _arc_exit_samples(model, grid: np.ndarray, a_cum: np.ndarray) -> np.ndarray:
     """Exit times per grid point under forward stepping, finite everywhere;
-    FIFO over the points that carry mass, which ``a_cum`` rises onto: an
-    empty point neither holds back the others nor is held back."""
+    only points that carry mass (``a_cum`` rises onto them) hold back the
+    served count, and ``_front`` takes the FIFO front of the exits."""
     n = grid.size
     step = grid[1] - grid[0]
     if isinstance(model, ConstantModel):
@@ -80,7 +80,7 @@ def _arc_exit_samples(model, grid: np.ndarray, a_cum: np.ndarray) -> np.ndarray:
             served = a_cum[j - 1] if j > 0 else 0.0
             vol = max(0.0, a_cum[i] - served)
             exits[i] = grid[i] + dmap.value(vol)
-        return np.where(carries, _front(exits, a_cum), exits)
+        return exits
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
@@ -206,9 +206,10 @@ def oracle_equilibrium(
             for k, rid in enumerate(rset):
                 arr = gridded.grid.astype(float).copy()
                 for aid in network.routes[rid]:
-                    exits = _arc_exit_samples(
-                        network.arcs[aid].model, gridded.grid, gridded.totals[aid]
-                    )
+                    a_cum = gridded.totals[aid]
+                    exits = _arc_exit_samples(network.arcs[aid].model, gridded.grid, a_cum)
+                    carries = np.diff(a_cum, prepend=0.0) > 0.0  # empty points keep their own
+                    exits = np.where(carries, _front(exits, a_cum), exits)
                     arr = np.interp(arr, gridded.grid, exits)
                 tt = arr - gridded.grid
                 mids = (edges[:-1] + edges[1:]) / 2

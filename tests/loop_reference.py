@@ -544,8 +544,13 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         # left to right from 0.0; the builtin sum compensates from Python 3.12
         for f in parts:
             slopes[i] += f.slope_at(mid)
-    # the first vertex holds all the mass up to the end of its cluster
-    atoms[0] = cums[0]
+    # the first vertex holds its cluster's atoms where more than
+    # 1e-12 (1 + total) of density lies inside the cluster and density
+    # carries on after it, and all the mass up to the cluster's end elsewhere
+    if slopes[0] > 0.0 and cums[0] - atoms[0] > 1e-12 * (1.0 + cums[-1]):
+        cums[0] = atoms[0]
+    else:
+        atoms[0] = cums[0]
     return _build(reps_a, cums, atoms, slopes)
 
 

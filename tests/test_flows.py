@@ -553,6 +553,8 @@ def test_pushforward_matches_loop_reference_bits(f, curve):
 @given(clustered_parts_st())
 @example([CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.atom_at(1e-9, 1.0)])
 @example([CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.constant_rate(1e-9, 1.0, 0.25)])
+# rounding twins: the 4.4e-16 of density between them stays an atom
+@example([CumulativeFlow.constant_rate(0.0, 1.0, 1.0), CumulativeFlow.constant_rate(4.440892098500626e-16, 1.0, 1.0)])
 @settings(max_examples=400, deadline=None)
 def test_sum_flows_matches_loop_reference_bits(parts):
     # breakpoints within MERGE_TOL of one another collapse onto clusters;
@@ -564,11 +566,12 @@ def test_sum_flows_matches_loop_reference_bits(parts):
 
 def test_sum_flows_keeps_mass_of_a_first_cluster_over_distinct_instants():
     # the breakpoints 0.0 and 1e-9 collapse onto 0.0, where the first part
-    # already carries 2e-9: more than MERGE_TOL * (1 + total) of drift
+    # already carries 2e-9: more than MERGE_TOL * (1 + total) of drift.  That
+    # density joins the piece after the cluster, and no atom holds it
     parts = [CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.constant_rate(1e-9, 1.0, 0.25)]
     f = sum_flows(parts)
     assert f.total == parts[0].total + parts[1].total
-    assert f.atom_mass(0.0) == pytest.approx(2e-9, rel=1e-6)
+    assert f.atom_mass(0.0) == 0.0
     for h in (0.25, 1.0):
         assert f.value(h) == pytest.approx(parts[0].value(h) + parts[1].value(h), abs=1e-15)
     # between vertices the merge moves mass by at most rate * MERGE_TOL
@@ -817,7 +820,8 @@ def test_volume_delay_sweep_adds_no_event_at_a_flat_first_exit():
     # the arc is empty up to the atom's exit at 1.0, so h0 + t_min = 0.5 is
     # no kink of the exits and no vertex of the map; the block loop's map has
     # none there either.  Nobody enters after 0.75, so nobody overtakes when
-    # the atom leaves (test_volume_delay_rejects_entrants_overtaking_a_departing_atom)
+    # the atom leaves; the same inflow up to 3 lets 3/7 overtake, and
+    # test_volume_delay_rejects_entrants_overtaking_a_departing_atom rejects it
     model = ArcPerformanceModel.affine(0.5, 0.5)
     f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 0.75, 1.0)])
     got = model.exit_profile(f).curve
@@ -902,11 +906,25 @@ def test_volume_delay_map_has_no_vertex_where_nothing_enters_or_leaves():
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
     ArcPerformanceModel.affine(0.5, 0.5),
 ])
-def test_volume_delay_rejects_entrants_overtaking_a_departing_atom(model):
-    # an atom of 1 at 0 and rate 1 on [0, 2]: the atom leaves at 1.0, and the
+@pytest.mark.parametrize("end", [2.0, 3.0])
+def test_volume_delay_rejects_entrants_overtaking_a_departing_atom(model, end):
+    # an atom of 1 at 0 and rate 1 from 0 on: the atom leaves at 1.0, and the
     # volume drops from 2 to 1.  The map falls from 2.5 to 2.0 at entry 1, and
     # the entrants on ]1, 10/7[, 3/7 units, exit before those just before 1,
-    # wherever the samples fall
-    f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, 2.0, 1.0)])
+    # wherever the samples fall, whether the rate ends at 2 or at 3
+    f = sum_flows([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.constant_rate(0.0, end, 1.0)])
     with pytest.raises(FifoViolation, match="map sends mass 0.429 backwards"):
         model.exit_profile(f)
+
+
+def test_volume_delay_loads_a_merged_first_cluster():
+    # the rates from 0 and from 1e-9 merge onto one first vertex, and the
+    # 2.14e-9 entering between them joins the first piece: no atom leaves,
+    # so no departure drops the volume and lets the entrants after it overtake
+    model = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
+    f = sum_flows([
+        CumulativeFlow.constant_rate(0.0, 1.5973960847481963, 2.141607538391901),
+        CumulativeFlow.constant_rate(1e-9, 1.1932528536038254, 3.018463087553071),
+    ])
+    assert f.atom_mass(0.0) == 0.0
+    assert _meets_model(f, model.exit_profile(f))

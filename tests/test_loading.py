@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynwardrop import arcs as arcs_module
 from dynwardrop import flows as flows_module
@@ -27,7 +27,7 @@ import loop_reference
 from fixtures import (
     acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture, spur_fixture,
 )
-from helpers import curve_linf, knot_linf, outcome, same_bits, same_flow_bits, same_outcome
+from helpers import curve_linf, knot_linf, same_bits, same_flow_bits
 from strategies import bottlenecks_st, clustered_parts_st, flows_st, probe_points
 
 
@@ -116,12 +116,20 @@ def test_flowing_conserves_mass_per_route():
 # -- load -----------------------------------------------------------------------
 
 _VOLUME_DELAY = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
+#: the steepest slope of its delay function
+_VOLUME_DELAY_SLOPE = float(np.max(np.diff(_VOLUME_DELAY.delays) / np.diff(_VOLUME_DELAY.volumes)))
 
 
 @st.composite
 def split_inputs_st(draw):
-    """An arc model and 2-4 route inflows, some of them zero; atoms only off
-    volume-delay arcs, where a departing atom can let later mass overtake."""
+    """An arc model and 2-4 route inflows, some of them zero.
+
+    On the volume-delay arc the inflows carry no atoms, and they are scaled
+    so that the delay's steepest slope D' times the peak density a of their
+    sum is at most 3/4.  Then nobody overtakes anybody (Carey's condition
+    holds with room): an entrant at s leaves at density a(s) / X'(s), for the
+    exit map X, so by induction along the exits D' times the outflow density
+    stays at most D' a, and X grows at rate at least 1 - D' a >= 1/4."""
     kind = draw(st.sampled_from(["bottleneck", "constant", "volume_delay"]))
     if kind == "volume_delay":
         model, max_atoms = _VOLUME_DELAY, 0
@@ -130,38 +138,24 @@ def split_inputs_st(draw):
     else:
         model, max_atoms = draw(bottlenecks_st), 3
     inflows = draw(st.lists(flows_st(max_atoms=max_atoms), min_size=2, max_size=4))
+    if kind == "volume_delay":
+        peak = _VOLUME_DELAY_SLOPE * flows_module.sum_flows(inflows).slopes.max(initial=0.0)
+        if peak > 0.75:
+            inflows = [f.scaled(0.75 / peak) for f in inflows]
     return model, {f"r{k}": f for k, f in enumerate(inflows)}
 
 
-def _same_split(got, want) -> bool:
-    """Two ``flowing`` results: the same routes, and the same bits in every
-    route's outflow, the arc's outflow and its total inflow."""
-    (g, g_profile, g_total), (w, w_profile, w_total) = got, want
-    return (
-        list(g) == list(w)
-        and all(same_flow_bits(g[r], w[r]) for r in w)
-        and same_flow_bits(g_profile.outflow, w_profile.outflow)
-        and same_flow_bits(g_total, w_total)
-    )
-
-
-_F = CumulativeFlow.from_vertices
-
-
 @given(split_inputs_st())
-@example((  # the pulse on [7, 8] enters while 9.5 units leave fast: 0.0115 overtakes
-    _VOLUME_DELAY,
-    {"r0": _F([1.0, 2.0], [0.0, 3.0], [0.0, 3.0]), "r1": _F([1.0, 2.0], [0.0, 3.0], [0.0, 3.0]),
-     "r2": _F([0.0, 2.0, 6.0], [0.0, 1.0, 5.0], [0.0, 1.0, 5.0]),
-     "r3": _F([1.0, 2.0, 7.0, 8.0], [0.0, 3.0, 3.0, 4.0], [0.0, 3.0, 3.0, 4.0])},
-))
 @settings(max_examples=150, deadline=None)
 def test_flowing_split_matches_loop_reference_bits(inputs):
-    # an absolutely continuous inflow breaks FIFO on the volume-delay arc
-    # where later mass enters while earlier mass leaves fast enough; there
-    # both versions raise alike
     model, inflows = inputs
-    assert same_outcome(outcome(flowing, model, inflows), outcome(loop_reference.flowing, model, inflows), _same_split)
+    got, got_profile, got_total = flowing(model, inflows)
+    want, want_profile, want_total = loop_reference.flowing(model, inflows)
+    assert list(got) == list(want)
+    for r in want:
+        assert same_flow_bits(got[r], want[r])
+    assert same_flow_bits(got_profile.outflow, want_profile.outflow)
+    assert same_flow_bits(got_total, want_total)
 
 
 @given(st.lists(flows_st(), min_size=1, max_size=4) | clustered_parts_st(), st.integers(0, 3))
