@@ -35,21 +35,39 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .curves import ExitTimeCurve, PiecewiseLinearMap
+from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
 from .errors import ModelParameterError, NonTermination
 # pushforward is bound here for the benchmark's tracer only (ROADMAP item 6)
 from .flows import CumulativeFlow, Horizon, _build, _ExitFront, pushforward, sum_flows
 
 
-@dataclass(frozen=True)
 class ExitProfile:
-    """Exit behaviour of an arc under a given total inflow."""
+    """Exit behaviour of an arc under a given total inflow: the exit-time
+    curve, and the total outflow measure.
 
-    curve: ExitTimeCurve
-    outflow: CumulativeFlow
+    The outflow is passed in, or a zero-argument builder that makes it on
+    first read; that result is kept.  A load reads the outflow only where a
+    route goes on, so an arc where every route ends builds it only when
+    asked.
+    """
+
+    __slots__ = ("curve", "_outflow")
+
+    def __init__(self, curve: ExitTimeCurve,
+                 outflow: CumulativeFlow | Callable[[], CumulativeFlow]):
+        self.curve = curve
+        self._outflow = outflow
+
+    @property
+    def outflow(self) -> CumulativeFlow:
+        if not isinstance(self._outflow, CumulativeFlow):
+            self._outflow = self._outflow()
+        return self._outflow
 
 
 class ArcModel(ABC):
@@ -68,7 +86,11 @@ class ArcModel(ABC):
 
     @abstractmethod
     def exit_profile(self, inflow: CumulativeFlow) -> ExitProfile:
-        """Exit-time curve plus the total outflow measure for this inflow."""
+        """Exit-time curve plus the total outflow measure for this inflow.
+
+        Whatever can fail is computed and checked at once; the outflow may be
+        left to a builder that only assembles what is already checked.
+        """
 
     def exit_curve(self, inflow: CumulativeFlow) -> ExitTimeCurve:
         return self.exit_profile(inflow).curve
@@ -142,6 +164,7 @@ class BottleneckModel(ArcModel):
         A queue stands at a vertex when it exceeds 1e-12 (1 + total) and
         takes a representable time to serve.  There the departures run at
         capacity until it clears; elsewhere they follow A, atoms included.
+        The curve is built here, the departures on the outflow's first read.
         """
         c, mu = self.free_flow_time, self.capacity
         if inflow.is_zero:
@@ -161,21 +184,6 @@ class BottleneckModel(ArcModel):
         t_clear = s + wait
         clears[:-1] &= t_clear[:-1] < s[1:]
 
-        # outflow: vertices at the arrival instants and where a queue clears,
-        # with exact slopes (mu while a queue stands, lambda otherwise), and
-        # values capped from the right, so that none exceeds a later one
-        passed = np.where(busy, 0.0, atoms)
-        last = np.ones(s.size, dtype=bool)
-        last[:-1] = s[1:] > s[:-1]
-        if not last.all():
-            # entry instants closer than the shift's rounding arrive at once
-            passed[last] = np.where(busy[last], 0.0, cums[last] - lefts[np.roll(last, 1)])
-        times, values, out_atoms, rates = _interleave(
-            (last, clears), (s, t_clear), (depart, cums + lam * (t_clear - s)),
-            (passed, 0.0), (np.where(busy | (lam > mu), mu, lam), lam),
-        )
-        outflow = _build(times, np.minimum.accumulate(values[::-1])[::-1], out_atoms, rates)
-
         # exit curve: (h, y_left) at each entry instant, (h, y_right) where an
         # atom makes it jump, then (t_clear - c, t_clear) where rounding keeps
         # that entry instant strictly inside its segment
@@ -187,7 +195,27 @@ class BottleneckModel(ArcModel):
         xs, ys = _interleave(
             (True, y_right != y_left, inside), (h, h, h_clear), (y_left, y_right, t_clear)
         )
-        return ExitProfile(ExitTimeCurve(xs, ys, 1.0, 1.0), outflow)
+        return ExitProfile(ExitTimeCurve(xs, ys, 1.0, 1.0), partial(
+            _queue_outflow, mu, s, cums, lefts, atoms, lam, busy, depart, clears, t_clear
+        ))
+
+
+def _queue_outflow(mu, s, cums, lefts, atoms, lam, busy, depart, clears, t_clear) -> CumulativeFlow:
+    """The bottleneck's departures from its arrival instants s and its queue
+    pass: vertices at those instants and where a queue clears, with exact
+    slopes (mu while a queue stands, lambda otherwise), and values capped from
+    the right, so that none exceeds a later one."""
+    passed = np.where(busy, 0.0, atoms)
+    last = np.ones(s.size, dtype=bool)
+    last[:-1] = s[1:] > s[:-1]
+    if not last.all():
+        # entry instants closer than the shift's rounding arrive at once
+        passed[last] = np.where(busy[last], 0.0, cums[last] - lefts[np.roll(last, 1)])
+    times, values, out_atoms, rates = _interleave(
+        (last, clears), (s, t_clear), (depart, cums + lam * (t_clear - s)),
+        (passed, 0.0), (np.where(busy | (lam > mu), mu, lam), lam),
+    )
+    return _build(times, np.minimum.accumulate(values[::-1])[::-1], out_atoms, rates)
 
 
 def _interleave(keep, *rows) -> np.ndarray:
@@ -275,7 +303,8 @@ class ArcPerformanceModel(ArcModel):
         h_limit = float(inflow.times[-1]) + 2.0 * self.t_max(inflow.total) + 8.0 * d_min
         xs, ys, et, e_lo, e_hi = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
         curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
-        return ExitProfile(curve, CumulativeFlow.from_vertices(et, e_lo, e_hi))
+        # the sweep has checked the exits; they become a flow on first read
+        return ExitProfile(curve, partial(CumulativeFlow.from_vertices, et, e_lo, e_hi))
 
 
 def _volume_exit_sweep(
@@ -485,7 +514,7 @@ def check_assumptions(
                 notes[k] = f"exit curve construction failed: {exc}"
             continue
         t0, t1 = inflow.support()
-        grid = np.unique(np.concatenate([
+        grid = sorted_set(np.concatenate([
             curve.xs,
             np.linspace(t0 - 1.0, t1 + 1.0, 41),
         ]))

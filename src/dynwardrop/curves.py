@@ -193,7 +193,7 @@ class PiecewiseLinearMap:
             if lo < x < hi:
                 pts.append(float(x))
         pts.append(hi)
-        pts_a = np.unique(np.array(pts))
+        pts_a = sorted_set(pts)
         total = 0.0
         for a, b in zip(pts_a[:-1], pts_a[1:]):
             # right value at a, left limit at b: linear in between

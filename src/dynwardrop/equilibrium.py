@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .arcs import _positive_part
+from .curves import sorted_set
 from .errors import DegenerateDemand, NoRoute, ValidationError
 from .flows import CumulativeFlow, Horizon, _from_rates, sum_flows
 from .network import Network, RouteFlowPattern, TravelTimePattern, load, route_times
@@ -175,7 +176,7 @@ def induced_flows(
         q = demand.rates[od]
         if q.is_zero:
             continue
-        pts = np.union1d(q.times, edges)
+        pts = sorted_set(np.concatenate([q.times, edges]))
         pts = pts[(pts >= edges[0]) & (pts <= edges[-1])]
         # the demand is atom-free: each piece's mass is its density times its
         # width, never a difference of cumulative values that rounds below 0
@@ -260,11 +261,11 @@ def wardrop_gap(
         curves = [times.arrivals[r] for r in rset]
         # pairwise crossings refine the quadrature so the minimum is exact piecewise
         cross = [_crossings(c1, c2) for i, c1 in enumerate(curves) for c2 in curves[i + 1:]]
-        refine = np.unique(np.concatenate([*(c.xs for c in curves), *cross]))
+        refine = sorted_set(np.concatenate([*(c.xs for c in curves), *cross]))
         for r in live:
             flow = flows[r]
             lo, hi = flow.support()
-            pts = np.unique(np.concatenate([flow.times, refine[(refine > lo) & (refine < hi)]]))
+            pts = sorted_set(np.concatenate([flow.times, refine[(refine > lo) & (refine < hi)]]))
             travel = times.arrivals[r].values(pts) - pts
             fastest = np.minimum.reduce([c.values(pts) - pts for c in curves])
             num += _integrate_against(flow, pts, travel - fastest)
@@ -276,7 +277,7 @@ def wardrop_gap(
 
 def _crossings(c1, c2) -> np.ndarray:
     """Abscissae where two piecewise-linear maps cross."""
-    xs = np.unique(np.concatenate([c1.xs, c2.xs]))
+    xs = sorted_set(np.concatenate([c1.xs, c2.xs]))
     span = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
     # the value at each span's start, the left limit at its end
     ends, left = np.array([span[:-1], span[1:]]), [[False], [True]]
@@ -392,7 +393,7 @@ def _class_utilities(
         arr = times.arrivals[rid]
         cross = np.array([arr.preimage_sup(cls.h_star), arr.preimage_inf(cls.h_star)])
         inner = np.concatenate([arr.xs, cross])
-        pts = np.unique(np.concatenate([edges, inner[(inner > lo) & (inner < hi)]]))
+        pts = sorted_set(np.concatenate([edges, inner[(inner > lo) & (inner < hi)]]))
         # the value at each piece's start, the left limit at its end
         ends = np.array([pts[:-1], pts[1:]])
         u_a, u_b = _utilities(cls, arr.sided_values(ends, [[False], [True]]), ends)

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .curves import sorted_set
 from .errors import FifoViolation
 
 #: Breakpoints closer than this (seconds) are merged when curves are combined.
@@ -108,7 +109,7 @@ class CumulativeFlow:
         if not segs:
             return CumulativeFlow.zero()
         starts, ends, seg_rates = np.array(segs).T
-        bounds = np.unique(np.concatenate([starts, ends]))
+        bounds = sorted_set(np.concatenate([starts, ends]))
         mids = (bounds[:-1] + bounds[1:]) / 2
         # (segment, piece) pairs in row-major order, so each piece adds the
         # rates of its covering segments in input order
@@ -378,7 +379,7 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         return parts[0]
     reps: list[float] = []
     ends: list[float] = []
-    for t in np.unique(np.concatenate([f.times for f in parts])).tolist():
+    for t in sorted_set(np.concatenate([f.times for f in parts])).tolist():
         if reps and t - reps[-1] <= MERGE_TOL:
             ends[-1] = t
         else:
@@ -409,7 +410,10 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         cums[0] = atoms[0]
     else:
         atoms[0] = cums[0]
-    return _build(reps_a, cums, atoms, slopes)
+    # a part may store a vertex value a rounding below where its previous
+    # piece's density leads, so the sum may dip there: lift it, as
+    # from_vertices does
+    return _build(reps_a, np.maximum.accumulate(cums), atoms, slopes)
 
 
 def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
@@ -431,7 +435,7 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
         return flow
     t0, t1 = flow.support()
     kinks = curve.kinks()
-    us = np.union1d(flow.times, kinks[(kinks > t0) & (kinks < t1)])
+    us = sorted_set(np.concatenate([flow.times, kinks[(kinks > t0) & (kinks < t1)]]))
     tl, tr = curve.sided_values([us, us], [[True], [False]])
     ml, mr = flow.limits(us)
     # density on the piece after each instant; none enters before the first

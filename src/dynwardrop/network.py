@@ -134,7 +134,7 @@ def _route_share(route_flow: CumulativeFlow, total_flow: CumulativeFlow) -> tupl
     Returns piecewise-linear vertices (total mass m, route mass c); inside a
     shared point mass the split is proportional.
     """
-    ts = np.union1d(route_flow.times, total_flow.times)
+    ts = sorted_set(np.concatenate([route_flow.times, total_flow.times]))
     # left limit, then value, at every instant
     m_all = np.column_stack(total_flow.limits(ts)).ravel()
     c_all = np.column_stack(route_flow.limits(ts)).ravel()
@@ -259,7 +259,8 @@ def load(
         for aid in order or network.arcs:
             model = network.arcs[aid].model
             if all(nxt is None for nxt in crossings[aid].values()):
-                # nothing reads a per-route split of the outflow here
+                # nothing reads the outflow here, so it is not built unless
+                # someone asks the bundle for it
                 totals[aid] = sum_flows(list(inflows[aid].values()))
                 profiles[aid] = model.exit_profile(totals[aid])
                 continue

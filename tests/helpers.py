@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dynwardrop import arcs
 from dynwardrop.errors import DynWardropError
 from dynwardrop.flows import MERGE_TOL, CumulativeFlow
 
@@ -88,3 +89,24 @@ def same_outcome(got, want, same) -> bool:
     if got[0] != want[0]:
         return False
     return same(got[1], want[1]) if want[0] == "ok" else got[1:] == want[1:]
+
+
+def counting_outflow_builds(monkeypatch) -> list:
+    """Record the exit curve of every arc outflow that a builder makes while
+    the patch holds; an outflow passed in as a flow is not built."""
+    built = []
+
+    class Counted(arcs.ExitProfile):
+        __slots__ = ()
+
+        def __init__(self, curve, outflow):
+            if callable(outflow):
+                def build(make=outflow):
+                    built.append(curve)
+                    return make()
+
+                outflow = build
+            super().__init__(curve, outflow)
+
+    monkeypatch.setattr(arcs, "ExitProfile", Counted)
+    return built

@@ -551,7 +551,8 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         cums[0] = atoms[0]
     else:
         atoms[0] = cums[0]
-    return _build(reps_a, cums, atoms, slopes)
+    # a sum that dips by rounding below an earlier vertex is lifted
+    return _build(reps_a, np.maximum.accumulate(cums), atoms, slopes)
 
 
 # loop copy of ``flows.pushforward``

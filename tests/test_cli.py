@@ -1,6 +1,10 @@
 """End-to-end runs of the batch command line."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +249,35 @@ def test_out_of_range_inputs_exit_2(text, argv, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_dtc_and_load_leave_numpy_ma_unimported(tmp_path):
+    # numpy's set routines import numpy.ma on their first call, start-up
+    # time that no result of the package needs
+    scn = tmp_path / "dtc.scn"
+    scn.write_text(DTC)
+    child = f"""
+import sys
+from dynwardrop import cli
+from dynwardrop.arcs import ArcPerformanceModel, BottleneckModel
+from dynwardrop.flows import CumulativeFlow, Horizon
+from dynwardrop.network import Arc, Network, load, route_times
+
+assert cli.main(["solve-dtc", {str(scn)!r}, "--out", {str(tmp_path / "out")!r}, "--max-iters", "1"]) == 0
+net = Network(
+    {{"b": Arc("A", "B", BottleneckModel(0.5, 1.0)),
+      "v": Arc("B", "C", ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)))}},
+    {{"r": ("b", "v")}},
+)
+bundle = load(net, {{"r": CumulativeFlow.piecewise_rate([(0.0, 1.0, 2.0), (0.5, 2.0, 1.0)])}})
+route_times(net, bundle, Horizon(4.0))
+assert bundle.outflow_total("v").total > 0.0
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -24,7 +24,9 @@ from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import Arc, Network, TravelTimePattern, load, route_times
 
 import loop_reference
-from helpers import curve_linf, outcome, same_bits, same_flow_bits, same_outcome
+from helpers import (
+    counting_outflow_builds, curve_linf, outcome, same_bits, same_flow_bits, same_outcome,
+)
 from strategies import bottlenecks_st, flows_st, maps_st
 
 
@@ -428,6 +430,21 @@ def test_departure_solver_matches_loop_reference_bits(instance, monkeypatch):
         assert same_bits(got.times.arrivals[rid].ys, want.times.arrivals[rid].ys)
     for i in want.splits:
         assert same_bits(got.splits[i], want.splits[i])
+
+
+@pytest.mark.parametrize("instance", [_scheduling_instance, _mixed_bottleneck_instance])
+def test_departure_solver_builds_no_terminal_outflow(instance, monkeypatch):
+    # every route ends on the bottleneck it takes: no iteration reads its
+    # outflow, so none is built until a bundle is asked for one
+    built = counting_outflow_builds(monkeypatch)
+    net, classes, config, horizon = instance()
+    state = solve_departure_choice(net, classes, config, horizon)
+    assert state.iterations > 1 and built == []
+    bundle = load(net, state.flows)
+    for aid, arc in net.arcs.items():
+        assert isinstance(arc.model, BottleneckModel) and not bundle.total(aid).is_zero
+        bundle.outflow_total(aid)
+    assert len(built) == len(net.arcs)
 
 
 # -- route choice on the departure-choice bin kernels ----------------------------------

@@ -255,6 +255,14 @@ def test_sum_is_commutative_in_value(fs, t):
 
 
 @given(st.lists(flows_st(), min_size=3, max_size=3), times_st)
+# h stores its value at 4 without the 1e-15 density of the piece before, so
+# g + h falls by a rounding from 3 to 4; the sum lifts it, as from_vertices does
+@example([
+    CumulativeFlow([0.0, 3.0], [0.0, 3.0], [0.0, 0.0], [1.0, 0.0]),
+    CumulativeFlow([0.0, 1.0, 2.0, 4.0], [4.74655106, 6.74655106, 8.74655106, 8.74655106],
+                   [4.74655106, 0.0, 0.0, 0.0], [2.0, 2.0, 1e-15, 0.0]),
+    CumulativeFlow.atom_at(1.0, 0.5),
+], 3.0)
 @settings(max_examples=100, deadline=None)
 def test_sum_is_associative_in_value(fs, t):
     a = sum_flows([sum_flows(fs[:2]), fs[2]])

@@ -27,7 +27,7 @@ import loop_reference
 from fixtures import (
     acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture, spur_fixture,
 )
-from helpers import curve_linf, knot_linf, same_bits, same_flow_bits
+from helpers import counting_outflow_builds, curve_linf, knot_linf, same_bits, same_flow_bits
 from strategies import bottlenecks_st, clustered_parts_st, flows_st, probe_points
 
 
@@ -345,6 +345,28 @@ def test_topological_and_frontier_loaders_agree_bit_for_bit(fx, monkeypatch):
         assert same_flow_bits(ordered.outflow_total(aid), stepped.outflow_total(aid))
         a, b = ordered.profiles[aid].curve, stepped.profiles[aid].curve
         assert same_bits(a.xs, b.xs) and same_bits(a.ys, b.ys)
+
+
+@pytest.mark.parametrize(
+    "fx", acceptance_fixtures() + [ladder_fixture(2), ladder_fixture(3)], ids=lambda fx: fx.name,
+)
+def test_outflow_is_built_on_first_read(fx, monkeypatch):
+    net = fx.network
+    built = counting_outflow_builds(monkeypatch)
+    bundle = load(net, fx.flows)
+    # the load builds the outflows that it hands on, save those that need no
+    # building: a constant arc's shifted inflow, a zero inflow's zero
+    handed_on = [
+        bundle.profiles[aid].curve for aid, arc in net.arcs.items()
+        if any(nxt is not None for nxt in net.crossings[aid].values())
+        and not isinstance(arc.model, ConstantModel) and not bundle.total(aid).is_zero
+    ]
+    assert sorted(map(id, built)) == sorted(map(id, handed_on))
+    for aid, arc in net.arcs.items():
+        out = bundle.outflow_total(aid)
+        # the same bits as an outflow read at once, before any other arc's work
+        assert same_flow_bits(out, arc.model.exit_profile(bundle.total(aid)).outflow)
+        assert bundle.outflow_total(aid) is out
 
 
 def test_cyclic_precedence_loads_by_frontier(monkeypatch):
