@@ -331,7 +331,8 @@ def _volume_exit_sweep(
 
     Raises:
         FifoViolation: more than 1e-12 (1 + total) of mass exits before
-            earlier mass, or mass exits onto one instant, not as an atom.
+            earlier mass, mass exits ahead of more than that of earlier
+            mass, or mass exits onto one instant, not as an atom.
         NonTermination: the next event lies beyond ``h_limit``.
     """
     # Python floats throughout: the vertices number a few hundred, and the
@@ -363,7 +364,7 @@ def _volume_exit_sweep(
 
     # E starts at the first exit, that of the first instant's right limit
     h = ts[0]
-    front = _ExitFront(h + delay(cums[0]), 0.0, h, 1e-12 * (1.0 + total))
+    front = _ExitFront(h + delay(cums[0]), 0.0, h, inflow)
     et, e_lo, e_hi = front.et, front.e_lo, front.e_hi
     sample, add = front.sample, front.add
     xs: list[float] = []

@@ -16,6 +16,7 @@ the segment's left endpoint and its stored density.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -428,8 +429,9 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
 
     Raises:
         FifoViolation: the map sends more than 1e-12 (1 + total) of mass
-            before the exit of earlier mass, or holds it constant over an
-            interval carrying positive mass.
+            before the exit of earlier mass, sends mass ahead of more than
+            that of earlier mass, or holds it constant over an interval
+            carrying positive mass.
     """
     if flow.is_zero:
         return flow
@@ -441,7 +443,7 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     # density on the piece after each instant; none enters before the first
     after = (flow.slopes[np.searchsorted(flow.times, us, side="right") - 1] > 0.0).tolist()
     before = [False] + after[:-1]
-    front = _ExitFront(float(tr[0]), float(ml[0]), float(us[0]), 1e-12 * (1.0 + flow.total))
+    front = _ExitFront(float(tr[0]), float(ml[0]), float(us[0]), flow)
     for args in zip(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist(), before, after):
         front.sample(*args)
     return CumulativeFlow.from_vertices(front.et, front.e_lo, front.e_hi)
@@ -461,19 +463,24 @@ class _ExitFront:
     its level.  An exit at or before the front is accepted only with at most
     ``tiny`` more mass (a wobble: the front takes the higher level), or as
     an atom: more mass from the front's own entry instant, within
-    ``MERGE_TOL`` of its exit, rises vertically there.  Accepted exits at
-    most ``MERGE_TOL`` after the first of their group make one vertex of E:
-    at ``et[k]`` it rises from ``e_lo[k]`` to ``e_hi[k]``, and it is linear
-    in between, as ``from_vertices`` reads it.
+    ``MERGE_TOL`` of its exit, rises vertically there.  Either way, the
+    exits of a piece of entry instants that carries mass may lie more than
+    ``MERGE_TOL`` behind the front only where at most ``tiny`` of the earlier
+    mass leaves after them.  Accepted exits at most ``MERGE_TOL`` after the
+    first of their group make one vertex of E: at ``et[k]`` it rises from
+    ``e_lo[k]`` to ``e_hi[k]``, and it is linear in between, as
+    ``from_vertices`` reads it.
     """
 
-    __slots__ = ("tiny", "lt", "lm", "lu", "pt", "pm", "single", "et", "e_lo", "e_hi")
+    __slots__ = ("tiny", "value", "lt", "lm", "lu", "pt", "pm", "pu", "single", "et", "e_lo", "e_hi")
 
-    def __init__(self, tau: float, m: float, u: float, tiny: float):
-        """The front at the first sample ``(tau, m)``, from entry instant u."""
-        self.tiny = tiny
+    def __init__(self, tau: float, m: float, u: float, flow: CumulativeFlow):
+        """The front at the first sample ``(tau, m)`` of ``flow``, from entry
+        instant u."""
+        self.tiny = 1e-12 * (1.0 + flow.total)
+        self.value = flow.value
         self.lt, self.lm, self.lu = tau, m, u
-        self.pt, self.pm = tau, m  # the sample before
+        self.pt, self.pm, self.pu = tau, m, u  # the sample before
         self.single = True  # the last vertex of E holds one sample
         self.et, self.e_lo, self.e_hi = [tau], [m], [m]
 
@@ -494,14 +501,15 @@ class _ExitFront:
     def add(self, tau: float, m: float, u: float) -> None:
         """Pass one sample through the FIFO filter and the grouping; raise
         ``FifoViolation`` where it refuses the sample."""
-        pt, pm = self.pt, self.pm
-        self.pt, self.pm = tau, m
+        pt, pm, pu = self.pt, self.pm, self.pu
+        self.pt, self.pm, self.pu = tau, m, u
         if tau > self.lt:
             if pt < self.lt - MERGE_TOL:
                 # the exits between the two samples cross the front's level
                 dm = pm + (m - pm) * ((self.lt - pt) / (tau - pt)) - self.lm
                 if dm > self.tiny:
                     raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
+                self._keep_order(pt, pu, pm, m, u)
             if tau > self.et[-1] + MERGE_TOL:
                 self.et.append(tau)
                 self.e_lo.append(m)
@@ -513,9 +521,11 @@ class _ExitFront:
             self.lt, self.lm, self.lu = tau, m, u
             return
         dm = m - self.lm
-        if dm > self.tiny:
-            if tau < self.lt - MERGE_TOL:
+        if tau < self.lt - MERGE_TOL:
+            if dm > self.tiny:
                 raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
+            self._keep_order(min(pt, tau), pu, pm, m, u)
+        if dm > self.tiny:
             if u > self.lu:
                 raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")
             self.single = False
@@ -525,3 +535,27 @@ class _ExitFront:
             self.e_lo[-1] = m
         self.lm, self.lu = m, u
         self.e_hi[-1] = m
+
+    def _keep_order(self, x: float, pu: float, pm: float, m: float, u: float) -> None:
+        """Raise ``FifoViolation`` where the entry instants from the sample
+        before, at pu with mass pm, to u with mass m carry mass, their exits
+        reach back to x behind the front, and more than ``tiny`` of the
+        earlier mass leaves after x: they carry at most ``tiny`` backwards,
+        yet overtake more.  Between two instants, the mass counts where the
+        flow's value at their midpoint exceeds its value at the first."""
+        carries = m > pm if u == pu else self.value((pu + u) / 2) > self.value(pu)
+        if carries:
+            ahead = self.lm - self._exits_at(x)
+            if ahead > self.tiny:
+                raise FifoViolation(f"map sends entry time {u:.6g} ahead of mass {ahead:.3g}")
+
+    def _exits_at(self, tau: float) -> float:
+        """E(tau), as built so far, from the right."""
+        et = self.et
+        k = bisect_right(et, tau) - 1
+        if k < 0:
+            return 0.0
+        if k + 1 == len(et) or et[k] == tau:
+            return self.e_hi[k]
+        lo, hi = self.e_hi[k], self.e_lo[k + 1]
+        return lo + (hi - lo) * ((tau - et[k]) / (et[k + 1] - et[k]))

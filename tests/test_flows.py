@@ -817,6 +817,24 @@ affine_models_st = st.sampled_from([
     sum_flows([CumulativeFlow.atom_at(0.0, 0.25), CumulativeFlow.constant_rate(0.0, 2.75, 0.25)]),
     ArcPerformanceModel.affine(1.0, 0.5),
 )
+@example(  # the atom at 0 drops the volume as it leaves, and the 5e-13 entering
+    # after it overtakes the atom at 1, within the mass FIFO lets go back but
+    # ahead of mass 1: the block loop misses its exits, the sweep raises
+    sum_flows([CumulativeFlow.atom_at(0.0, 2.0), CumulativeFlow.atom_at(1.0, 1.0),
+               CumulativeFlow.constant_rate(0.0, 2.0, 1e-12)]),
+    ArcPerformanceModel.affine(0.5, 0.5),
+)
+@example(  # the density 2.2e-306 after 4 overtakes the atom at 3, but adds
+    # nothing to the inflow's values, and the stored left limit at 5 sits an
+    # ulp above them: no mass overtakes, and both load
+    CumulativeFlow(
+        np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        np.array([0.0, 5.0, 8.0, 9.774396421296373, 9.774396421296373, 10.774396421296375]),
+        np.array([0.0, 2.0, 0.0, 1.7743964212963743, 0.0, 1.0]),
+        np.array([3.0, 3.0, 0.0, 0.0, 2.2103680313315934e-306, 0.0]),
+    ),
+    ArcPerformanceModel.affine(0.5, 0.5),
+)
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_matches_block_reference_with_atoms(f, model):
     # a departing atom drops the volume at once, so later entrants may
