@@ -42,7 +42,7 @@ import numpy as np
 
 from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
 from .errors import ModelParameterError, NonTermination
-# pushforward is bound here for the benchmark's tracer only (ROADMAP item 6)
+# pushforward is bound here for the benchmark's tracer only (ROADMAP item 5)
 from .flows import CumulativeFlow, Horizon, _build, _ExitFront, pushforward, sum_flows
 
 
@@ -412,8 +412,8 @@ def _volume_exit_sweep(
         # up to nxt the volume is linear: its crossings of the delay's
         # breakpoints, in order, are events too.  The delay there is read from
         # the volume at x, not taken as the level's: an inflow whose stored
-        # values and slopes disagree by rounding (up to rate * MERGE_TOL after
-        # a merged cluster) reaches the level a little off x
+        # values and slopes disagree by rounding reaches the level a little
+        # off x
         k, kb = bisect_right(levels, v_right) - 1, bisect_right(levels, vb) - 1
         if kb != k:
             start = h

@@ -25,8 +25,9 @@ import numpy as np
 from .curves import sorted_set
 from .errors import FifoViolation
 
-#: Breakpoints closer than this (seconds) are merged when curves are combined.
-MERGE_TOL = 1e-9
+#: Two instants are the same where they lie within ``MERGE_TOL * (1 + |t|)``
+#: of each other, t either one: rounding twins, never distinct vertices.
+MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -338,10 +339,11 @@ def _build(times, cums, atoms, slopes) -> CumulativeFlow:
     if (cums[1:] - cums[:-1] < 0).any() or (atoms < 0).any() or (slopes < 0).any():
         raise ValueError("cumulative curve must be nondecreasing")
     drift = cums[0] - atoms[0]
-    if abs(drift) > MERGE_TOL * (1.0 + abs(cums[-1])):
+    if abs(drift) > 1e-12 * (1.0 + abs(cums[-1])):
         raise ValueError("curve must start from zero mass")
     if drift != 0.0:
-        # sub-tolerance residue from merged evaluations; fold it into the vertex
+        # a rounding residue below the first vertex, such as a wobble of the
+        # exit front lifting the first exit's left level: fold it into the atom
         atoms = atoms.copy()
         atoms[0] = cums[0]
     if slopes[-1] != 0.0:
@@ -370,51 +372,35 @@ def _from_rates(edges: np.ndarray, rates: np.ndarray) -> CumulativeFlow:
 def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
     """Pointwise sum of cumulative curves.
 
-    The result's breakpoints are the union of the inputs' breakpoints; times
-    closer than ``MERGE_TOL`` collapse onto the earliest of their cluster.
+    The result's breakpoints are the union of the inputs' breakpoints, with
+    rounding twins merged: an instant that is the same as the one before it,
+    by ``MERGE_TOL``'s rule, joins that one's cluster, which sits at its
+    first instant and reads the parts at its last.  The first vertex holds all the mass up to the
+    end of its cluster as an atom.
     """
     parts = [f for f in flows if not f.is_zero]
     if not parts:
         return CumulativeFlow.zero()
     if len(parts) == 1:
         return parts[0]
-    reps: list[float] = []
-    ends: list[float] = []
-    for t in sorted_set(np.concatenate([f.times for f in parts])).tolist():
-        if reps and t - reps[-1] <= MERGE_TOL:
-            ends[-1] = t
-        else:
-            reps.append(t)
-            ends.append(t)
-    reps_a = np.array(reps)
-    ends_a = np.array(ends)
-    mids = (ends_a[:-1] + reps_a[1:]) / 2
-    cums = np.zeros(reps_a.size)
-    atoms = np.zeros(reps_a.size)
-    slopes = np.zeros(reps_a.size)
+    ts = sorted_set(np.concatenate([f.times for f in parts]))
+    # a cluster starts where the gap to the instant before exceeds the scale
+    first = np.append(True, ts[1:] - ts[:-1] > MERGE_TOL * (1.0 + np.abs(ts[1:])))
+    reps, ends = ts[first], ts[np.append(first[1:], True)]
+    mids = (ends[:-1] + reps[1:]) / 2
+    n = reps.size
+    cums, atoms, slopes = np.zeros((3, n))
     for f in parts:
-        # the part's vertices inside each cluster are f.times[j0:j1]
-        j0 = np.searchsorted(f.times, reps_a, side="left")
-        j1 = np.searchsorted(f.times, ends_a, side="right")
-        held = np.where(j1 > j0, f.atoms[np.minimum(j0, f.times.size - 1)], 0.0)
-        for i in np.nonzero(j1 - j0 > 1)[0]:
-            held[i] = np.sum(f.atoms[j0[i]:j1[i]])
-        atoms += held
-        cums += f.values(ends_a)
+        cluster = np.searchsorted(reps, f.times, side="right") - 1
+        atoms += np.bincount(cluster, weights=f.atoms, minlength=n)
+        cums += f.values(ends)
         i = np.searchsorted(f.times, mids, side="right") - 1
         slopes[:-1] += np.where(i < 0, 0.0, f.slopes[np.maximum(i, 0)])
-    # the curve starts from zero mass: where density carries on after the
-    # first cluster, the density inside it, when more than rounding twins
-    # hold, joins the next piece, as a later cluster's joins the piece
-    # before it; elsewhere the first vertex holds it all as an atom
-    if slopes[0] > 0.0 and cums[0] - atoms[0] > 1e-12 * (1.0 + cums[-1]):
-        cums[0] = atoms[0]
-    else:
-        atoms[0] = cums[0]
+    atoms[0] = cums[0]
     # a part may store a vertex value a rounding below where its previous
     # piece's density leads, so the sum may dip there: lift it, as
     # from_vertices does
-    return _build(reps_a, np.maximum.accumulate(cums), atoms, slopes)
+    return _build(reps, np.maximum.accumulate(cums), atoms, slopes)
 
 
 def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
@@ -453,36 +439,40 @@ class _ExitFront:
     """The exits E of a flow through a monotone map, built from samples
     (exit time, cumulative mass) taken entry instant by entry instant where
     mass enters: an empty instant neither moves the front nor adds a vertex
-    of E.
+    of E.  Exit times within ``MERGE_TOL`` of one another are the same
+    instant.
 
     The front ``(lt, lm, lu)`` is the latest exit accepted, the mass that has
-    left by then and its entry instant.  A later exit moves the front on;
-    where the sample before it lay more than ``MERGE_TOL`` behind the front,
-    the straight line between the two, which is the exits between their
-    entries, may carry at most ``tiny`` more mass than the front's across
-    its level.  An exit at or before the front is accepted only with at most
-    ``tiny`` more mass (a wobble: the front takes the higher level), or as
-    an atom: more mass from the front's own entry instant, within
-    ``MERGE_TOL`` of its exit, rises vertically there.  Either way, the
-    exits of a piece of entry instants that carries mass may lie more than
-    ``MERGE_TOL`` behind the front only where at most ``tiny`` of the earlier
-    mass leaves after them.  Accepted exits at most ``MERGE_TOL`` after the
-    first of their group make one vertex of E: at ``et[k]`` it rises from
-    ``e_lo[k]`` to ``e_hi[k]``, and it is linear in between, as
-    ``from_vertices`` reads it.
+    left by then and its entry instant; ``lo`` is the earliest exit time
+    still the same instant as lt.  A later exit moves the front on; where
+    the sample before it lay before lo, the straight line between the two,
+    which is the exits between their entries, may carry at most ``tiny``
+    more mass than the front's across its level.  An exit at or before the
+    front is accepted only with at most ``tiny`` more mass (a wobble: the
+    front takes the higher level), or as an atom: more mass from the front's
+    own entry instant, at the same exit instant, rises vertically there.
+    Either way, the exits of a piece of entry instants that carries mass may
+    lie before lo only where at most ``tiny`` of the earlier mass leaves
+    after them.  Accepted exits that are the same instant as the first of
+    their group make one vertex of E: at ``et[k]`` it rises from ``e_lo[k]``
+    to ``e_hi[k]``, and it is linear in between, as ``from_vertices`` reads
+    it.
     """
 
-    __slots__ = ("tiny", "value", "lt", "lm", "lu", "pt", "pm", "pu", "single", "et", "e_lo", "e_hi")
+    __slots__ = ("tiny", "value", "lt", "lm", "lu", "lo", "pt", "pm", "pu", "single",
+                 "et", "e_lo", "e_hi", "e_end")
 
     def __init__(self, tau: float, m: float, u: float, flow: CumulativeFlow):
         """The front at the first sample ``(tau, m)`` of ``flow``, from entry
         instant u."""
         self.tiny = 1e-12 * (1.0 + flow.total)
         self.value = flow.value
-        self.lt, self.lm, self.lu = tau, m, u
+        gap = MERGE_TOL * (1.0 + abs(tau))
+        self.lt, self.lm, self.lu, self.lo = tau, m, u, tau - gap
         self.pt, self.pm, self.pu = tau, m, u  # the sample before
         self.single = True  # the last vertex of E holds one sample
         self.et, self.e_lo, self.e_hi = [tau], [m], [m]
+        self.e_end = tau + gap  # the latest exit time the same as et[-1]
 
     def sample(self, u: float, y_left: float, y_right: float, a_left: float, a_right: float,
                before: bool, after: bool) -> None:
@@ -504,24 +494,27 @@ class _ExitFront:
         pt, pm, pu = self.pt, self.pm, self.pu
         self.pt, self.pm, self.pu = tau, m, u
         if tau > self.lt:
-            if pt < self.lt - MERGE_TOL:
+            if pt < self.lo:
                 # the exits between the two samples cross the front's level
                 dm = pm + (m - pm) * ((self.lt - pt) / (tau - pt)) - self.lm
                 if dm > self.tiny:
                     raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
                 self._keep_order(pt, pu, pm, m, u)
-            if tau > self.et[-1] + MERGE_TOL:
+            # the scale is taken only where the front moves
+            gap = MERGE_TOL * (1.0 + (tau if tau > 0.0 else -tau))
+            if tau > self.e_end:
                 self.et.append(tau)
                 self.e_lo.append(m)
                 self.e_hi.append(m)
+                self.e_end = tau + gap
                 self.single = True
             else:
                 self.e_hi[-1] = m
                 self.single = False
-            self.lt, self.lm, self.lu = tau, m, u
+            self.lt, self.lm, self.lu, self.lo = tau, m, u, tau - gap
             return
         dm = m - self.lm
-        if tau < self.lt - MERGE_TOL:
+        if tau < self.lo:
             if dm > self.tiny:
                 raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
             self._keep_order(min(pt, tau), pu, pm, m, u)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arcs import ArcModel, ExitProfile
 from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
-from .errors import NonTermination, ValidationError
+from .errors import FifoViolation, NonTermination, ValidationError
 from .flows import CumulativeFlow, Horizon, sum_flows
 
 #: route id -> route inflow measure
@@ -222,6 +222,8 @@ def load(
         ValueError: ``frontier_step`` is not positive.
         NonTermination: the frontier exceeded the passage-time budget, which
             indicates an arc model without a finite passage envelope.
+        FifoViolation, NonTermination: from serving an arc; the message
+            starts with ``arc <id>: ``.
     """
     x = {r: route_flows.get(r, CumulativeFlow.zero()) for r in network.routes}
     order = network.loading_order
@@ -258,13 +260,16 @@ def load(
             hand_on(x[rid], arc_ids[0], rid)
         for aid in order or network.arcs:
             model = network.arcs[aid].model
-            if all(nxt is None for nxt in crossings[aid].values()):
-                # nothing reads the outflow here, so it is not built unless
-                # someone asks the bundle for it
-                totals[aid] = sum_flows(list(inflows[aid].values()))
-                profiles[aid] = model.exit_profile(totals[aid])
-                continue
-            outflows, profiles[aid], totals[aid] = flowing(model, inflows[aid])
+            try:
+                if all(nxt is None for nxt in crossings[aid].values()):
+                    # nothing reads the outflow here, so it is not built
+                    # unless someone asks the bundle for it
+                    totals[aid] = sum_flows(list(inflows[aid].values()))
+                    profiles[aid] = model.exit_profile(totals[aid])
+                    continue
+                outflows, profiles[aid], totals[aid] = flowing(model, inflows[aid])
+            except (FifoViolation, NonTermination) as exc:
+                raise type(exc)(f"arc {aid}: {exc}") from exc
             for rid, nxt in crossings[aid].items():
                 if nxt is not None:
                     hand_on(outflows[rid], nxt, rid)

@@ -28,14 +28,15 @@ def knot_linf(f, g, knots) -> float:
     """L-infinity distance between two right-continuous piecewise-linear
     functions, exit maps or cumulative curves, read at their knots.
 
-    Knots closer than ``MERGE_TOL`` form one cluster, read from outside: the
-    left limit at its first knot and the value at its last.  So a jump that
-    two computations place a rounding error apart counts once.  The midpoints
-    between clusters cover the pieces, and so does one point beyond each
-    end.
+    A knot within ``MERGE_TOL * (1 + |t|)`` of the knot before it, the rule
+    ``sum_flows`` merges by, joins that knot's cluster, which is read from
+    outside: the left limit at its first knot and the value at its last.  So
+    a jump that two computations place a rounding error apart counts once.
+    The midpoints between clusters cover the pieces, and so does one point
+    beyond each end.
     """
     k = np.unique(np.asarray(knots, dtype=float))
-    cut = np.flatnonzero(k[1:] - k[:-1] > MERGE_TOL)
+    cut = np.flatnonzero(k[1:] - k[:-1] > MERGE_TOL * (1.0 + np.abs(k[1:])))
     starts = np.concatenate([k[:1], k[cut + 1]])
     ends = np.concatenate([k[cut], k[-1:]])
     pts = np.concatenate([ends, (ends[:-1] + starts[1:]) / 2, [starts[0] - 1.0, ends[-1] + 1.0]])

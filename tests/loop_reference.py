@@ -55,10 +55,10 @@ def _build(times, cums, atoms, slopes) -> CumulativeFlow:
     if np.any(np.diff(cums) < 0) or np.any(atoms < 0) or np.any(slopes < 0):
         raise ValueError("cumulative curve must be nondecreasing")
     drift = cums[0] - atoms[0]
-    if abs(drift) > MERGE_TOL * (1.0 + abs(cums[-1])):
+    if abs(drift) > 1e-12 * (1.0 + abs(cums[-1])):
         raise ValueError("curve must start from zero mass")
     if drift != 0.0:
-        # sub-tolerance residue from merged evaluations; fold it into the vertex
+        # a rounding residue below the first vertex; fold it into the atom
         atoms = atoms.copy()
         atoms[0] = cums[0]
     if slopes[-1] != 0.0:
@@ -511,8 +511,9 @@ def compose_after(self, inner: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
 def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
     """Pointwise sum of cumulative curves.
 
-    The result's breakpoints are the union of the inputs' breakpoints; times
-    closer than ``MERGE_TOL`` collapse onto the earliest of their cluster.
+    The result's breakpoints are the union of the inputs' breakpoints; an
+    instant within ``MERGE_TOL * (1 + |t|)`` of the one before it joins that
+    one's cluster, which collapses onto its earliest instant.
     """
     parts = [f for f in flows if not f.is_zero]
     if not parts:
@@ -523,7 +524,7 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
     reps: list[float] = []
     ends: list[float] = []
     for t in all_times:
-        if reps and t - reps[-1] <= MERGE_TOL:
+        if reps and t - ends[-1] <= MERGE_TOL * (1.0 + abs(t)):
             ends[-1] = t
         else:
             reps.append(float(t))
@@ -544,13 +545,8 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
         # left to right from 0.0; the builtin sum compensates from Python 3.12
         for f in parts:
             slopes[i] += f.slope_at(mid)
-    # the first vertex holds its cluster's atoms where more than
-    # 1e-12 (1 + total) of density lies inside the cluster and density
-    # carries on after it, and all the mass up to the cluster's end elsewhere
-    if slopes[0] > 0.0 and cums[0] - atoms[0] > 1e-12 * (1.0 + cums[-1]):
-        cums[0] = atoms[0]
-    else:
-        atoms[0] = cums[0]
+    # the first vertex holds all the mass up to its cluster's end
+    atoms[0] = cums[0]
     # a sum that dips by rounding below an earlier vertex is lifted
     return _build(reps_a, np.maximum.accumulate(cums), atoms, slopes)
 
@@ -614,7 +610,7 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
             # the exits since the sample before, if it lay behind the front,
             # cross the front's level
             pt, pm = taus[k - 1], masses[k - 1]
-            if pt < out_t[-1] - MERGE_TOL:
+            if pt < out_t[-1] - MERGE_TOL * (1.0 + abs(out_t[-1])):
                 over = pm + (m - pm) * ((out_t[-1] - pt) / (tau - pt)) - out_m[-1]
                 if over > tiny:
                     raise FifoViolation(
@@ -631,7 +627,7 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
                 out_u[-1] = u
             continue
         # positive mass maps backwards or onto a single instant
-        if tau < out_t[-1] - MERGE_TOL:
+        if tau < out_t[-1] - MERGE_TOL * (1.0 + abs(out_t[-1])):
             raise FifoViolation(
                 f"map sends mass {dm:.3g} backwards near entry time {u:.6g}"
             )
@@ -644,13 +640,13 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
         out_m.append(m)
         out_u.append(u)
 
-    # Group vertices sharing an exit instant (within the merge tolerance);
-    # each group's vertical extent becomes an atom of the image measure.
+    # Group vertices sharing an exit instant (within MERGE_TOL of the group's
+    # first); each group's vertical extent becomes an atom of the image measure.
     g_time: list[float] = []
     g_lo: list[float] = []
     g_hi: list[float] = []
     for tau, m in zip(out_t, out_m):
-        if not g_time or tau > g_time[-1] + MERGE_TOL:
+        if not g_time or tau > g_time[-1] + MERGE_TOL * (1.0 + abs(g_time[-1])):
             g_time.append(tau)
             g_lo.append(m)
             g_hi.append(m)

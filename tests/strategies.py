@@ -73,27 +73,29 @@ def maps_st(draw, slope_st=st.floats(min_value=0.0, max_value=3.0), monotone=Fal
     return PiecewiseLinearMap(np.array(xs), np.array(ys), draw(slope_st), draw(slope_st))
 
 
-#: offsets below, at and above ``flows.MERGE_TOL``
-jitter_st = st.sampled_from([0.0, 2e-10, 5e-10, 1e-9, 1.5e-9, 3e-9])
+#: offsets below, at and above the merge scale ``flows.MERGE_TOL * (1 + |t|)``
+#: of the base instants 0 to 2, and 1e-9, which keeps two vertices apart
+jitter_st = st.sampled_from([0.0, 2e-13, 5e-13, 1e-12, 1.5e-12, 2e-12, 3e-12, 6e-12, 1e-9])
 
 
 @st.composite
 def clustered_parts_st(draw):
-    """2-4 flows whose breakpoints sit within ``MERGE_TOL`` of one another: rate
-    segments, single atoms, and pairs of atoms closer than the tolerance."""
+    """2-4 flows whose breakpoints sit within a few merge scales of one
+    another: rate segments, single atoms, and pairs of atoms closer than the
+    scale."""
     base_st = st.sampled_from([0.0, 0.25, 1.0, 2.0])
     parts = []
     for _ in range(draw(st.integers(min_value=2, max_value=4))):
         kind = draw(st.sampled_from(["rate", "atom", "atom_pair"]))
         t = draw(base_st) + draw(jitter_st)
         if kind == "rate":
-            end = draw(base_st) + draw(jitter_st) + draw(st.sampled_from([1e-9, 0.25, 1.0]))
-            parts.append(CumulativeFlow.constant_rate(t, max(end, t + 5e-10), draw(mass_st)))
+            end = draw(base_st) + draw(jitter_st) + draw(st.sampled_from([1e-12, 1e-9, 0.25, 1.0]))
+            parts.append(CumulativeFlow.constant_rate(t, max(end, t + 5e-13), draw(mass_st)))
         elif kind == "atom":
             parts.append(CumulativeFlow.atom_at(t, draw(mass_st)))
         else:
             m1, m2 = draw(mass_st), draw(mass_st)
-            parts.append(CumulativeFlow.from_vertices([t, t + 5e-10], [0.0, m1], [m1, m1 + m2]))
+            parts.append(CumulativeFlow.from_vertices([t, t + 5e-13], [0.0, m1], [m1, m1 + m2]))
     return parts
 
 

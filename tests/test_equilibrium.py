@@ -121,6 +121,12 @@ def induced_case_st(draw):
     np.array([0.0, 1.0]),
     np.array([[1.0]]),
 ))
+@example((  # demand vertices at 0 and 1e-9: distinct instants, so the loop
+    # reference's window sum must not merge them and read density 2 from 0
+    CumulativeFlow.piecewise_rate([(0.0, 1.0, 1.0), (1e-9, 1.000000001, 1.0)]),
+    np.array([0.0, 1.0, 2.0]),
+    np.array([[1.0, 1.0]]),
+))
 @settings(max_examples=200, deadline=None)
 def test_induced_flows_split_the_demand_density(case):
     q, edges, share = case
@@ -149,8 +155,7 @@ def test_induced_flows_split_the_demand_density(case):
 def test_induced_flows_keep_demand_instants_closer_than_merge_tol():
     # demand vertices at 0 and 1e-9, and at 1 and its rounding twin: the one
     # pass reads the demand's densities and returns the demand itself, where
-    # summing its windows with sum_flows would merge 0 and 1e-9 and read 2e-9
-    # away from it
+    # summing its windows with sum_flows would merge 1 and its twin
     q = CumulativeFlow.piecewise_rate([(0.0, 1.0, 1.0), (1e-9, np.nextafter(1.0, 2.0), 1.0)])
     net = parallel({"r0": ConstantModel(1.0)})
     dem = DemandTable({("A", "B"): q}, Horizon(8.0))

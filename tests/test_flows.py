@@ -400,9 +400,9 @@ def _bottleneck_tolerance(model, f: CumulativeFlow) -> float:
     on inflow f: 1e-12 * (1 + total), plus f's own mismatch between its
     stored values and its slopes, divided by min(1, capacity).  The closed
     form reads the stored values at f's vertices, while the loop integrates
-    the slopes; a merged cluster of ``sum_flows`` leaves the two about
-    rate * MERGE_TOL apart, and the exit times carry that mass over the
-    capacity."""
+    the slopes; a merged cluster of rounding twins in ``sum_flows`` leaves
+    the two up to rate * MERGE_TOL * (1 + |t|) apart, and the exit times
+    carry that mass over the capacity."""
     return 1e-12 * (1.0 + f.total) + slope_mismatch(f) / min(1.0, model.capacity)
 
 
@@ -563,28 +563,33 @@ def test_pushforward_matches_loop_reference_bits(f, curve):
 @example([CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.constant_rate(1e-9, 1.0, 0.25)])
 # rounding twins: the 4.4e-16 of density between them stays an atom
 @example([CumulativeFlow.constant_rate(0.0, 1.0, 1.0), CumulativeFlow.constant_rate(4.440892098500626e-16, 1.0, 1.0)])
+# a chain of twins 8e-13 apart spans 1.6e-12, more than the scale 1e-12 at 0:
+# each instant joins the one before it, so all three make one cluster
+@example([CumulativeFlow.atom_at(0.0, 1.0), CumulativeFlow.atom_at(8e-13, 1.0),
+          CumulativeFlow.atom_at(1.6e-12, 1.0)])
 @settings(max_examples=400, deadline=None)
 def test_sum_flows_matches_loop_reference_bits(parts):
-    # breakpoints within MERGE_TOL of one another collapse onto clusters;
-    # where the cluster rule cannot build a curve, both versions raise alike
+    # an instant within MERGE_TOL * (1 + |t|) of the one before it joins its
+    # cluster; where the cluster rule cannot build a curve, both versions
+    # raise alike
     assert same_outcome(
         outcome(sum_flows, parts), outcome(loop_reference.sum_flows, parts), same_flow_bits
     )
 
 
-def test_sum_flows_keeps_mass_of_a_first_cluster_over_distinct_instants():
-    # the breakpoints 0.0 and 1e-9 collapse onto 0.0, where the first part
-    # already carries 2e-9: more than MERGE_TOL * (1 + total) of drift.  That
-    # density joins the piece after the cluster, and no atom holds it
+def test_sum_flows_keeps_instants_1e9_apart_as_two_vertices():
+    # 1e-9 lies far beyond the rounding scale 1e-12 at 0, so 0.0 and 1e-9 are
+    # two vertices: the density between them is a piece of its own, no atom
+    # sits at 0, and the sum reads the parts' values exactly at its vertices
     parts = [CumulativeFlow.constant_rate(0.0, 0.25, 2.0), CumulativeFlow.constant_rate(1e-9, 1.0, 0.25)]
     f = sum_flows(parts)
-    assert f.total == parts[0].total + parts[1].total
-    assert f.atom_mass(0.0) == 0.0
-    for h in (0.25, 1.0):
-        assert f.value(h) == pytest.approx(parts[0].value(h) + parts[1].value(h), abs=1e-15)
-    # between vertices the merge moves mass by at most rate * MERGE_TOL
-    for h in (0.1, 0.5):
-        assert f.value(h) == pytest.approx(parts[0].value(h) + parts[1].value(h), abs=3 * MERGE_TOL)
+    assert f.times.tolist() == [0.0, 1e-9, 0.25, 1.0]
+    assert f.atoms.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert f.slopes.tolist() == [2.0, 2.25, 0.25, 0.0]
+    for h in f.times:
+        assert f.value(h) == parts[0].value(h) + parts[1].value(h)
+    for h in (5e-10, 0.1, 0.5):
+        assert f.value(h) == pytest.approx(parts[0].value(h) + parts[1].value(h), rel=1e-15)
 
 
 delay_models_st = st.sampled_from([
@@ -660,13 +665,15 @@ def _inflow_knots(f: CumulativeFlow, curve) -> np.ndarray:
 
 def _mass_behind_front(f: CumulativeFlow, curve) -> float:
     """The largest mass of f that ``curve`` sends, as an atom or on one of
-    f's mass-carrying pieces, more than MERGE_TOL before the front: the
-    latest exit of earlier mass, read between the vertices too."""
+    f's mass-carrying pieces, before the front by more than
+    ``MERGE_TOL * (1 + |front|)``: the front is the latest exit of earlier
+    mass, read between the vertices too."""
     us = _inflow_knots(f, curve)
     front, worst = -np.inf, 0.0
     for k, a in enumerate(us):
         ya, rate = curve.value(a), f.slope_at(a)
-        if ya < front - MERGE_TOL:
+        limit = front - MERGE_TOL * (1.0 + abs(front))
+        if ya < limit:
             worst = max(worst, f.atom_mass(a))
         if f.atom_mass(a) > 0 or rate > 0:
             front = max(front, ya)
@@ -674,7 +681,7 @@ def _mass_behind_front(f: CumulativeFlow, curve) -> float:
             continue
         b = us[k + 1]
         yb = curve.left_value(b)
-        limit = front - MERGE_TOL
+        limit = front - MERGE_TOL * (1.0 + abs(front))
         if min(ya, yb) < limit:
             # the linear piece lies below the limit on [lo, hi]
             cut = a + (limit - ya) * (b - a) / (yb - ya) if max(ya, yb) > limit else None
@@ -734,8 +741,9 @@ def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
     CumulativeFlow.piecewise_rate([(0.0, 1.0, 12.0), (6.5, 8.5, 0.5)]),
     ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0)),
 )
-@example(  # the merged first cluster leaves the values at 0 and 1 off the
-    # slope by 1.5e-9, so the volume at the crossing of 1.0 reads 1 + 6.7e-10
+@example(  # the values at 0 and 1 lie off the slope by 1.5e-9, as a merge of 0
+    # and 1e-9 once left them, so the volume at the crossing of 1.0 reads
+    # 1 + 6.7e-10
     CumulativeFlow(
         np.array([0.0, 1.0, 1.000000001]),
         np.array([1e-09, 1.4999999995, 1.5]),
@@ -746,8 +754,8 @@ def _check_sweep_against_blocks(model, f: CumulativeFlow) -> None:
 )
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_matches_block_reference(f, model):
-    # flows_st merges vertices closer than MERGE_TOL, which can leave an atom
-    # of at most rate * MERGE_TOL
+    # flows_st merges rounding twins, which can leave an atom of at most
+    # rate * MERGE_TOL * (1 + |t|)
     _check_sweep_against_blocks(model, f)
 
 
@@ -834,6 +842,17 @@ affine_models_st = st.sampled_from([
         np.array([3.0, 3.0, 0.0, 0.0, 2.2103680313315934e-306, 0.0]),
     ),
     ArcPerformanceModel.affine(0.5, 0.5),
+)
+@example(  # vertices at 1 and 1 + 1e-12, within the merge scale 2e-12 there:
+    # the sweep and the block loop place E's vertices up to 1.5e-12 apart in
+    # time, which knot_linf reads as one cluster, as sum_flows would merge them
+    CumulativeFlow(
+        np.array([0.0, 1.0, 1.000000000001, 2.0]),
+        np.array([3e-12, 3.999999999999, 4.0, 5.0]),
+        np.array([3e-12, 0.0, 0.0, 1.0]),
+        np.array([4.0, 1.0, 0.0, 0.0]),
+    ),
+    ArcPerformanceModel((0.0, 64.0), (0.5, 32.5)),
 )
 @settings(max_examples=300, deadline=None)
 def test_volume_delay_sweep_matches_block_reference_with_atoms(f, model):
@@ -943,10 +962,10 @@ def test_volume_delay_rejects_entrants_overtaking_a_departing_atom(model, end):
         model.exit_profile(f)
 
 
-def test_volume_delay_loads_a_merged_first_cluster():
-    # the rates from 0 and from 1e-9 merge onto one first vertex, and the
-    # 2.14e-9 entering between them joins the first piece: no atom leaves,
-    # so no departure drops the volume and lets the entrants after it overtake
+def test_volume_delay_loads_rates_starting_1e9_apart():
+    # the rates from 0 and from 1e-9 start two vertices, and the 2.14e-9
+    # entering between them is a piece of its own: no atom leaves, so no
+    # departure drops the volume and lets the entrants after it overtake
     model = ArcPerformanceModel((0.0, 1.0, 3.0), (0.6, 1.0, 2.0))
     f = sum_flows([
         CumulativeFlow.constant_rate(0.0, 1.5973960847481963, 2.141607538391901),

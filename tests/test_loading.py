@@ -11,7 +11,7 @@ from dynwardrop.arcs import (
     ArcModel, ArcPerformanceModel, BottleneckModel, ConstantModel, ExitProfile,
 )
 from dynwardrop.curves import ExitTimeCurve, PiecewiseLinearMap
-from dynwardrop.errors import InstanceTooLarge, NonTermination, ValidationError
+from dynwardrop.errors import FifoViolation, InstanceTooLarge, NonTermination, ValidationError
 from dynwardrop.flows import CumulativeFlow, Horizon
 from dynwardrop.network import (
     Arc,
@@ -25,7 +25,8 @@ from dynwardrop.oracle import GridConfig, oracle_load
 
 import loop_reference
 from fixtures import (
-    acceptance_fixtures, jittered_ladder_fixture, ladder_fixture, rotary_fixture, spur_fixture,
+    acceptance_fixtures, fifo_contract_fixtures, jittered_ladder_fixture, ladder_fixture,
+    rotary_fixture, spur_fixture,
 )
 from helpers import counting_outflow_builds, curve_linf, knot_linf, same_bits, same_flow_bits
 from strategies import bottlenecks_st, clustered_parts_st, flows_st, probe_points
@@ -161,8 +162,9 @@ def test_flowing_split_matches_loop_reference_bits(inputs):
 @given(st.lists(flows_st(), min_size=1, max_size=4) | clustered_parts_st(), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 def test_route_share_matches_loop_reference_bits(parts, k):
-    # the route is one of the summed parts; summing merges breakpoints closer
-    # than MERGE_TOL, so the route can have vertices the total lacks
+    # the route is one of the summed parts; summing merges rounding twins
+    # (within MERGE_TOL * (1 + |t|)), so the route can have vertices the total
+    # lacks
     route, total = parts[k % len(parts)], flows_module.sum_flows(parts)
     got = network_module._route_share(route, total)
     want = loop_reference._route_share(route, total)
@@ -534,3 +536,12 @@ def test_arrival_sequence_strictly_increases_along_route():
             t = bundle.profiles[aid].curve.value(t)
             seq.append(t)
         assert all(b > a for a, b in zip(seq[:-1], seq[1:]))
+
+
+def test_load_names_the_arc_whose_exit_profile_raises():
+    # the overtaking atom of the FIFO contract fixtures raises on the one arc,
+    # p; load raises the same class with the arc in front of the message
+    fx = next(fx for fx in fifo_contract_fixtures() if fx.name == "fifo_overtaking_atom")
+    with pytest.raises(FifoViolation, match=r"^arc p: map sends mass 0\.429 backwards") as info:
+        load(fx.network, fx.flows)
+    assert type(info.value) is FifoViolation
