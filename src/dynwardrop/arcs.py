@@ -10,13 +10,14 @@ Three concrete models are provided.
   sweep steps from event to event (inflow vertices, kinks and atoms of the
   cumulative exits, crossings of the delay function's breakpoints), and
   between events all curves are linear, so the construction is exact (no
-  time grid).  Its exit samples where mass enters pass through the FIFO
-  filter and grouping of ``pushforward`` (``flows._ExitFront``), and the
-  exits they build are the arc's outflow: no second pass pushes inflow
-  forward.  FIFO is over users, the entry instants that carry mass; it holds
-  where D'(v) (e - a) <= 1, with D the delay function and a, e the entry and
-  exit rates.  Where later mass overtakes earlier mass, as when a departing
-  atom drops the volume, the sweep raises ``FifoViolation``.
+  time grid).  Its exit samples where mass enters pass through the grouping
+  of ``pushforward`` (``flows._ExitFront``), and the exits they build are
+  the arc's outflow: no second pass pushes inflow forward.  FIFO is over
+  users, the entry instants that carry mass; it holds where D'(v) (e - a)
+  <= 1, with D the delay function and a, e the entry and exit rates.  The
+  sweep then checks FIFO as ``pushforward`` does: where later mass overtakes
+  earlier mass, as when a departing atom drops the volume, it raises
+  ``FifoViolation``.
 * ``BottleneckModel``: a free-flow time followed by a server of finite
   capacity; a point queue forms whenever arrivals outrun the capacity.  The
   cumulative departures are Newell's closed form, read at the arrivals'
@@ -43,7 +44,7 @@ import numpy as np
 from .curves import ExitTimeCurve, PiecewiseLinearMap, sorted_set
 from .errors import ModelParameterError, NonTermination
 # pushforward is bound here for the benchmark's tracer only (ROADMAP item 5)
-from .flows import CumulativeFlow, Horizon, _build, _ExitFront, pushforward, sum_flows
+from .flows import CumulativeFlow, Horizon, _build, _check_exits, _ExitFront, pushforward, sum_flows
 
 
 class ExitProfile:
@@ -301,17 +302,16 @@ class ArcPerformanceModel(ArcModel):
         # every user has left by h_last + t_max(total); the sweep gives up
         # another t_max(total) + 8 t_min later
         h_limit = float(inflow.times[-1]) + 2.0 * self.t_max(inflow.total) + 8.0 * d_min
-        xs, ys, et, e_lo, e_hi = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
-        curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+        curve, et, e_lo, e_hi = _volume_exit_sweep(inflow, self._delay_map(), h_limit)
         # the sweep has checked the exits; they become a flow on first read
         return ExitProfile(curve, partial(CumulativeFlow.from_vertices, et, e_lo, e_hi))
 
 
 def _volume_exit_sweep(
     inflow: CumulativeFlow, dmap: PiecewiseLinearMap, h_limit: float
-) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
-    """Vertices ``(xs, ys)`` of the exit map h -> h + delay(volume on the arc
-    at h), and the grouped vertices ``(et, e_lo, e_hi)`` of the exits E.
+) -> tuple[ExitTimeCurve, list[float], list[float], list[float]]:
+    """The exit map h -> h + delay(volume on the arc at h), and the grouped
+    vertices ``(et, e_lo, e_hi)`` of the exits E.
 
     One sweep over entry time h.  The volume is A - E, inflow minus exits.
     Every exit at time h stems from an entry before h - t_min, so the exits
@@ -321,18 +321,17 @@ def _volume_exit_sweep(
     crosses a breakpoint of the delay function.  Each event h adds
     (h, y_left) to the map and, where it jumps, (h, y_right), and passes the
     exit samples of the mass entering there through ``flows._ExitFront``,
-    the FIFO filter and grouping ``pushforward`` uses, which builds E; an
-    empty instant adds no vertex to E.  A vertex of E that holds no atom and
-    leaves E flat on both sides, where entering mass rounds away, is no
-    kink, and the sweep steps over it.  The sweep ends once every inflow
-    vertex is done and E holds the total; beyond, the map extends with
-    slope 1.  E is the arc's outflow; ``pushforward`` of the inflow under
-    the map reads it again, up to rounding in its exit times.
+    the grouping ``pushforward`` uses, which builds E; an empty instant adds
+    no vertex to E.  A vertex of E that holds no atom and leaves E flat on
+    both sides, where entering mass rounds away, is no kink, and the sweep
+    steps over it.  The sweep ends once every inflow vertex is done and E
+    holds the total; beyond, the map extends with slope 1.  E is the arc's
+    outflow; ``pushforward`` of the inflow under the map reads it again, up
+    to rounding in its exit times.
 
     Raises:
-        FifoViolation: more than 1e-12 (1 + total) of mass exits before
-            earlier mass, mass exits ahead of more than that of earlier
-            mass, or mass exits onto one instant, not as an atom.
+        FifoViolation: once the sweep ends, ``flows._check_exits`` reads
+            the map and E, and finds FIFO broken.
         NonTermination: the next event lies beyond ``h_limit``.
     """
     # Python floats throughout: the vertices number a few hundred, and the
@@ -364,7 +363,8 @@ def _volume_exit_sweep(
 
     # E starts at the first exit, that of the first instant's right limit
     h = ts[0]
-    front = _ExitFront(h + delay(cums[0]), 0.0, h, inflow)
+    tiny = 1e-12 * (1.0 + total)
+    front = _ExitFront(h + delay(cums[0]), 0.0, tiny)
     et, e_lo, e_hi = front.et, front.e_lo, front.e_hi
     sample, add = front.sample, front.add
     xs: list[float] = []
@@ -386,9 +386,15 @@ def _volume_exit_sweep(
             y_right = y_left
             xs.append(h)
             ys.append(y_left)
-        sample(h, y_left, y_right, a_left, a_right, before, rate > 0.0)
-        if i == n and e_right >= total - front.tiny:
-            return xs, ys, et, e_lo, e_hi
+        sample(y_left, y_right, a_left, a_right, before, rate > 0.0)
+        if i == n and e_right >= total - tiny:
+            x, y = np.array(xs), np.array(ys)
+            # every inflow vertex is an event: the knots are the map's vertices
+            # up to the last, a jump read from its first value and its last
+            new, upto = x[1:] != x[:-1], x <= ts[-1]
+            first, last = np.append(True, new) & upto, np.append(new, True) & upto
+            _check_exits(inflow, x[first], y[first], y[last], front)
+            return ExitTimeCurve(x, y, 1.0, 1.0), et, e_lo, e_hi
 
         # the next vertex of A or E, and the left limits there.  A vertex of E
         # with no atom and E flat on both sides (0 before the first) is no
@@ -425,7 +431,7 @@ def _volume_exit_sweep(
                     xs.append(x)
                     ys.append(y)
                     if rate > 0.0:
-                        add(y, a, h)
+                        add(y, a)
 
         # step to nxt
         h = nxt

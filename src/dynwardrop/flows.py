@@ -16,7 +16,6 @@ the segment's left endpoint and its stored density.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -342,8 +341,9 @@ def _build(times, cums, atoms, slopes) -> CumulativeFlow:
     if abs(drift) > 1e-12 * (1.0 + abs(cums[-1])):
         raise ValueError("curve must start from zero mass")
     if drift != 0.0:
-        # a rounding residue below the first vertex, such as a wobble of the
-        # exit front lifting the first exit's left level: fold it into the atom
+        # a rounding residue below the first vertex, as a route's share of
+        # the exit totals in ``network.flowing`` can leave at its first
+        # vertex: fold it into the atom
         atoms = atoms.copy()
         atoms[0] = cums[0]
     if slopes[-1] != 0.0:
@@ -411,13 +411,11 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     the mass of its preimage, so total mass is conserved exactly.  The map
     and the flow are read on both sides of the flow's vertices and of the
     map's kinks between them; the samples where mass enters pass through
-    ``_ExitFront``, and the image's curve runs through its vertices.
+    ``_ExitFront``, and the image's curve runs through the vertices it
+    groups.
 
     Raises:
-        FifoViolation: the map sends more than 1e-12 (1 + total) of mass
-            before the exit of earlier mass, sends mass ahead of more than
-            that of earlier mass, or holds it constant over an interval
-            carrying positive mass.
+        FifoViolation: ``_check_exits`` finds that the image breaks FIFO.
     """
     if flow.is_zero:
         return flow
@@ -429,126 +427,140 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     # density on the piece after each instant; none enters before the first
     after = (flow.slopes[np.searchsorted(flow.times, us, side="right") - 1] > 0.0).tolist()
     before = [False] + after[:-1]
-    front = _ExitFront(float(tr[0]), float(ml[0]), float(us[0]), flow)
-    for args in zip(us.tolist(), tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist(), before, after):
+    front = _ExitFront(float(tr[0]), float(ml[0]), 1e-12 * (1.0 + flow.total))
+    for args in zip(tl.tolist(), tr.tolist(), ml.tolist(), mr.tolist(), before, after):
         front.sample(*args)
+    _check_exits(flow, us, tl, tr, front)
     return CumulativeFlow.from_vertices(front.et, front.e_lo, front.e_hi)
 
 
 class _ExitFront:
-    """The exits E of a flow through a monotone map, built from samples
-    (exit time, cumulative mass) taken entry instant by entry instant where
-    mass enters: an empty instant neither moves the front nor adds a vertex
-    of E.  Exit times within ``MERGE_TOL`` of one another are the same
-    instant.
+    """The exits E of a flow through a map, grouped into E's vertices from
+    samples (exit time, cumulative mass) taken entry instant by entry
+    instant where mass enters; it checks nothing, ``_check_exits`` does.
 
-    The front ``(lt, lm, lu)`` is the latest exit accepted, the mass that has
-    left by then and its entry instant; ``lo`` is the earliest exit time
-    still the same instant as lt.  A later exit moves the front on; where
-    the sample before it lay before lo, the straight line between the two,
-    which is the exits between their entries, may carry at most ``tiny``
-    more mass than the front's across its level.  An exit at or before the
-    front is accepted only with at most ``tiny`` more mass (a wobble: the
-    front takes the higher level), or as an atom: more mass from the front's
-    own entry instant, at the same exit instant, rises vertically there.
-    Either way, the exits of a piece of entry instants that carries mass may
-    lie before lo only where at most ``tiny`` of the earlier mass leaves
-    after them.  Accepted exits that are the same instant as the first of
-    their group make one vertex of E: at ``et[k]`` it rises from ``e_lo[k]``
-    to ``e_hi[k]``, and it is linear in between, as ``from_vertices`` reads
-    it.
+    The front ``lt`` is the latest exit sampled.  A later exit moves it and
+    starts a vertex of E, or joins the last one where it is the same instant
+    by ``MERGE_TOL``'s rule.  At ``et[k]`` E rises from ``e_lo[k]`` to
+    ``e_hi[k]``, and it is linear in between, as ``from_vertices`` reads it.
+    A sample at or before the front adds its mass to the last vertex; a
+    wobble, a rise of at most ``tiny``, lifts the left level too where that
+    vertex holds one sample only, so that rounding makes no atom.
     """
 
-    __slots__ = ("tiny", "value", "lt", "lm", "lu", "lo", "pt", "pm", "pu", "single",
-                 "et", "e_lo", "e_hi", "e_end")
+    __slots__ = ("tiny", "lt", "single", "et", "e_lo", "e_hi", "e_end")
 
-    def __init__(self, tau: float, m: float, u: float, flow: CumulativeFlow):
-        """The front at the first sample ``(tau, m)`` of ``flow``, from entry
-        instant u."""
-        self.tiny = 1e-12 * (1.0 + flow.total)
-        self.value = flow.value
-        gap = MERGE_TOL * (1.0 + abs(tau))
-        self.lt, self.lm, self.lu, self.lo = tau, m, u, tau - gap
-        self.pt, self.pm, self.pu = tau, m, u  # the sample before
-        self.single = True  # the last vertex of E holds one sample
+    def __init__(self, tau: float, m: float, tiny: float):
+        """The front at the first sample ``(tau, m)``; m entered before it."""
+        self.tiny, self.lt = tiny, tau
+        # the last vertex of E holds one sample; the first holds m, which no wobble lifts
+        self.single = False
         self.et, self.e_lo, self.e_hi = [tau], [m], [m]
-        self.e_end = tau + gap  # the latest exit time the same as et[-1]
+        self.e_end = tau + MERGE_TOL * (1.0 + abs(tau))  # the latest exit time the same as et[-1]
 
-    def sample(self, u: float, y_left: float, y_right: float, a_left: float, a_right: float,
+    def sample(self, y_left: float, y_right: float, a_left: float, a_right: float,
                before: bool, after: bool) -> None:
-        """The samples of entry instant u, with exit times ``y_left`` and
+        """The samples of one entry instant, with exit times ``y_left`` and
         ``y_right`` and cumulative mass ``a_left`` before it and ``a_right``
-        with it: the left limit where mass enters just before u; where an
-        atom sits at u or mass enters just after it, the right limit before
+        with it: the left limit where mass enters just before it; where an
+        atom sits there or mass enters just after it, the right limit before
         the atom, then the atom."""
         if before:
-            self.add(y_left, a_left, u)
-        if after or a_right > a_left:
-            self.add(y_right, a_left, u)
-            if a_right > a_left:
-                self.add(y_right, a_right, u)
+            self.add(y_left, a_left)
+        # after the left limit, the same exit time adds nothing
+        if (after or a_right > a_left) and not (before and y_right == y_left):
+            self.add(y_right, a_left)
+        if a_right > a_left:
+            self.add(y_right, a_right)
 
-    def add(self, tau: float, m: float, u: float) -> None:
-        """Pass one sample through the FIFO filter and the grouping; raise
-        ``FifoViolation`` where it refuses the sample."""
-        pt, pm, pu = self.pt, self.pm, self.pu
-        self.pt, self.pm, self.pu = tau, m, u
+    def add(self, tau: float, m: float) -> None:
+        """Group one sample into the vertices of E."""
         if tau > self.lt:
-            if pt < self.lo:
-                # the exits between the two samples cross the front's level
-                dm = pm + (m - pm) * ((self.lt - pt) / (tau - pt)) - self.lm
-                if dm > self.tiny:
-                    raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
-                self._keep_order(pt, pu, pm, m, u)
-            # the scale is taken only where the front moves
-            gap = MERGE_TOL * (1.0 + (tau if tau > 0.0 else -tau))
+            self.lt = tau
             if tau > self.e_end:
                 self.et.append(tau)
                 self.e_lo.append(m)
                 self.e_hi.append(m)
-                self.e_end = tau + gap
+                # the scale is taken only where a vertex starts
+                self.e_end = tau + MERGE_TOL * (1.0 + (tau if tau > 0.0 else -tau))
                 self.single = True
-            else:
-                self.e_hi[-1] = m
-                self.single = False
-            self.lt, self.lm, self.lu, self.lo = tau, m, u, tau - gap
-            return
-        dm = m - self.lm
-        if tau < self.lo:
-            if dm > self.tiny:
-                raise FifoViolation(f"map sends mass {dm:.3g} backwards near entry time {u:.6g}")
-            self._keep_order(min(pt, tau), pu, pm, m, u)
-        if dm > self.tiny:
-            if u > self.lu:
-                raise FifoViolation(f"map is constant over a positive-mass interval ending at {u:.6g}")
+                return
             self.single = False
-        elif not m > self.lm:
+        elif m - self.e_hi[-1] > self.tiny:
+            self.single = False
+        elif not m > self.e_hi[-1]:
             return
         elif self.single:
             self.e_lo[-1] = m
-        self.lm, self.lu = m, u
         self.e_hi[-1] = m
 
-    def _keep_order(self, x: float, pu: float, pm: float, m: float, u: float) -> None:
-        """Raise ``FifoViolation`` where the entry instants from the sample
-        before, at pu with mass pm, to u with mass m carry mass, their exits
-        reach back to x behind the front, and more than ``tiny`` of the
-        earlier mass leaves after x: they carry at most ``tiny`` backwards,
-        yet overtake more.  Between two instants, the mass counts where the
-        flow's value at their midpoint exceeds its value at the first."""
-        carries = m > pm if u == pu else self.value((pu + u) / 2) > self.value(pu)
-        if carries:
-            ahead = self.lm - self._exits_at(x)
-            if ahead > self.tiny:
-                raise FifoViolation(f"map sends entry time {u:.6g} ahead of mass {ahead:.3g}")
 
-    def _exits_at(self, tau: float) -> float:
-        """E(tau), as built so far, from the right."""
-        et = self.et
-        k = bisect_right(et, tau) - 1
-        if k < 0:
-            return 0.0
-        if k + 1 == len(et) or et[k] == tau:
-            return self.e_hi[k]
-        lo, hi = self.e_hi[k], self.e_lo[k + 1]
-        return lo + (hi - lo) * ((tau - et[k]) / (et[k + 1] - et[k]))
+def _check_exits(flow: CumulativeFlow, us: np.ndarray, tl: np.ndarray, tr: np.ndarray,
+                 front: _ExitFront) -> None:
+    """Raise ``FifoViolation`` where the exits E that ``front`` grouped, of
+    the flow A through a map X, break FIFO over the entry instants that
+    carry mass.  A and X are linear between the knots ``us``, where X reads
+    ``tl`` from the left and ``tr`` from the right; the front of an atom or
+    a piece is the latest exit of the atoms and densities before it.  With
+    ``tiny`` = 1e-12 (1 + total): (1) E carries A's total; (2) at most
+    ``tiny`` of mass exits more than ``MERGE_TOL`` (1 + |front|) behind its
+    front, a piece's start counting as its front too; (3) no atom or piece
+    of more than ``tiny`` lands on its front's instant from a later entry
+    instant: a piece ending there without passing it, or an atom, unless
+    the piece before passes it or A's stored left limit rises at the atom;
+    (4) every user has left by its exit instant: E(X(u)) >= A(u) - ``tiny``
+    at the atoms and at both ends and the midpoint of each piece whose value
+    rises, E read ``MERGE_TOL`` (1 + |X(u)|) late, as the grouping merges
+    exits.  Only mass behind its front can overtake, so (4) is read only
+    where some is; E(X(u)) > A(u) would take later mass exiting earlier (2).
+    """
+    total = flow.total
+    tiny = 1e-12 * (1.0 + total)
+    if abs(front.e_hi[-1] - total) > tiny:
+        raise FifoViolation(f"exits carry {front.e_hi[-1]:.6g} of the mass {total:.6g}"
+                            f" entered up to entry time {us[-1]:.6g}")
+    ml, mr = flow.limits(us)
+    atom, piece = mr - ml, ml[1:] - mr[:-1]
+    dense = flow.slopes[np.searchsorted(flow.times, us[1:]) - 1] > 0.0
+    y0, y1 = tr[:-1], tl[1:]
+    hi = np.maximum(y0, y1)
+    # the front of the atom at a knot is the latest exit of the atoms and
+    # dense pieces before it; a dense piece, which starts where the atom at
+    # its knot exits, adds its start
+    top = np.where(dense, hi, np.where(atom[:-1] > 0.0, y0, -np.inf))
+    f_atom = np.maximum.accumulate(np.append(-np.inf, top))
+    f_piece = np.maximum(f_atom[:-1], y0)
+    if ((tr > f_atom) | (atom <= 0.0)).all() and (
+            (y0 >= f_atom[:-1]) & (y1 > f_piece) | ~dense & (piece <= tiny)).all():
+        return  # every atom and dense piece exits after all mass before it
+    lim_atom = f_atom - MERGE_TOL * (1.0 + np.abs(f_atom))
+    lim_piece = f_piece - MERGE_TOL * (1.0 + np.abs(f_piece))
+    lo = np.minimum(y0, y1)
+    if ((atom > 0.0) & (tr < lim_atom)).any() or (dense & (lo < lim_piece)).any():
+        # 2. a piece's exits are linear: the share of its mass behind the limit
+        with np.errstate(all="ignore"):  # pieces with flat exits
+            share = np.where(hi > lo, np.clip((lim_piece - lo) / (hi - lo), 0.0, 1.0), lo < lim_piece)
+        behind = np.concatenate([np.where(tr < lim_atom, atom, 0.0), np.where(dense, share * piece, 0.0)])
+        if behind.sum() > tiny:
+            u = us[np.argmax(behind) % us.size]
+            raise FifoViolation(f"map sends mass {behind.sum():.3g} backwards near entry time {u:.6g}")
+        # 4. E runs through (et[k], e_lo[k]) and (et[k], e_hi[k]), linear in between
+        mids = (us[:-1] + us[1:]) / 2
+        a_mid = flow.values(mids)
+        carries = a_mid > mr[:-1]
+        y = np.concatenate([tr, y1, (y0 + y1) / 2])
+        gone = np.interp(y + MERGE_TOL * (1.0 + np.abs(y)), np.repeat(front.et, 2),
+                         np.array([front.e_lo, front.e_hi]).ravel("F"))
+        reads = np.concatenate([(atom > 0.0) | np.append(carries, False), carries, carries])
+        ahead = np.where(reads, np.concatenate([mr, ml[1:], a_mid]) - gone, 0.0)
+        k = int(np.argmax(ahead))
+        if ahead[k] > tiny:
+            u = np.concatenate([us, us[1:], mids])[k]
+            raise FifoViolation(f"map sends entry time {u:.6g} ahead of mass {ahead[k]:.3g}")
+    # 3. onto the front's instant, from a later entry instant
+    on_atom = (atom > tiny) & (tr >= lim_atom) & (tr <= f_atom)
+    on_atom[1:] &= ~((piece > 0.0) | dense & (y1 > f_piece))
+    on_front = np.concatenate([on_atom, (piece > tiny) & (y1 >= lim_piece) & (y1 <= f_piece)])
+    if on_front.any():
+        u = np.concatenate([us, us[1:]])[np.argmax(on_front)]
+        raise FifoViolation(f"map sends mass entering at {u:.6g} onto the exit instant of earlier mass")

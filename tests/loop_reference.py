@@ -17,8 +17,10 @@ bin kernels: the demand clipped to each bin, scaled and summed, one
 it read the curves in arrays: a callable integrand at every point, a ``min``
 over the routes' travel times there, and one ``slope_at`` per piece.
 
-``volume_delay_exit_profile`` is the block fixed point that the volume-delay
-sweep replaced, on the loop copies of its exit map and of ``pushforward``.
+``pushforward`` is the sample filter that kept FIFO before the output check
+replaced it; see its docstring.  ``volume_delay_exit_profile`` is the block
+fixed point that the volume-delay sweep replaced, on the loop copy of its
+exit map and on that ``pushforward``.
 ``bottleneck_exit_profile`` is the point queue that Newell's closed form
 replaced: ``_point_queue_exits`` steps through every arrival segment,
 keeping the served mass and the queue as running sums, and the exit curve
@@ -551,13 +553,20 @@ def sum_flows(flows: Iterable[CumulativeFlow]) -> CumulativeFlow:
     return _build(reps_a, np.maximum.accumulate(cums), atoms, slopes)
 
 
-# loop copy of ``flows.pushforward``
+# the sample filter ``flows.pushforward`` kept FIFO with before it checked
+# its output once, kept as the reference that check must never fall short of
 def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
     """Image measure of ``flow`` under a monotone time map.
 
     ``curve`` is a piecewise-linear map (see ``curves.PiecewiseLinearMap``)
     from entry times to exit times.  The result assigns to every interval J
     the mass of its preimage, so total mass is conserved exactly.
+
+    This is no loop copy: it keeps FIFO sample by sample, as ``flows`` did
+    before ``flows._check_exits`` read the output once, at the end, and it
+    groups the exits as ``flows._ExitFront`` does.  The tests require the
+    same bits where both load, and a ``FifoViolation`` on both sides where
+    either raises one; the two word it by different rules.
 
     Raises:
         FifoViolation: the map sends more than 1e-12 (1 + total) of mass
@@ -652,6 +661,9 @@ def pushforward(flow: CumulativeFlow, curve) -> CumulativeFlow:
             g_hi.append(m)
         else:
             g_hi[-1] = m
+    # the first vertex starts from the mass before any exit, which no wobble
+    # lifts, as in ``flows._ExitFront``
+    g_lo[0] = masses[0]
     return CumulativeFlow.from_vertices(g_time, g_lo, g_hi)
 
 

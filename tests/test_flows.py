@@ -548,14 +548,35 @@ def test_composed_exit_curves_match_loop_reference_bits(f, first, second):
     CumulativeFlow.atom_at(1.0, 1.0),
     PiecewiseLinearMap(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5, 3.0]), 1.0, 1.0),
 )
+@example(  # every exit lies within 6.4e-90 of 0, one instant: both load one
+    # atom of 1 at 0.  The exits rise by a hair, so none lands on the front's
+    # instant, and E(X(u)) = A(u) holds only read across the instant of X(u)
+    CumulativeFlow.constant_rate(0.0, 1.0, 1.0),
+    PiecewiseLinearMap(np.array([0.0]), np.array([0.0]), 0.0, 6.32308275748484e-90),
+)
+@example(  # two atoms from entry instants 0 and 3.19 exit at the same instant
+    # 0: both raise
+    sum_flows([CumulativeFlow.atom_at(0.0, 2.6686131380802673),
+               CumulativeFlow.atom_at(3.1889706843668493, 0.01)]),
+    PiecewiseLinearMap(np.array([0.5]), np.array([0.0]), 0.0, 0.0),
+)
+@example(  # the map sends everything to 0; a chain of wobbles below the
+    # tolerance would lift the first vertex's left level by 3.5e-12, more than
+    # the tolerance: both keep it at the mass before any exit, and both load
+    CumulativeFlow(np.array([0.0, 3.5, 4.0]), np.array([0.0, 1.2500000000035, 2.250000000004]),
+                   np.array([0.0, 1.25, 1.0]), np.array([1e-12, 1e-12, 0.0])),
+    PiecewiseLinearMap(np.array([0.5]), np.array([0.0]), 0.0, 0.0),
+)
 @settings(max_examples=400, deadline=None)
 def test_pushforward_matches_loop_reference_bits(f, curve):
     # atoms of the flow, jumps and flat pieces of the map; a map that is
-    # constant over mass raises, and both versions must raise alike
-    assert same_outcome(
-        outcome(pushforward, f, curve), outcome(loop_reference.pushforward, f, curve),
-        same_flow_bits,
-    )
+    # constant over mass raises, and both versions must raise alike.  The
+    # check words a FifoViolation by its own rules, the reference's sample
+    # filter by the sample it refuses, so only their classes must agree
+    got, want = outcome(pushforward, f, curve), outcome(loop_reference.pushforward, f, curve)
+    if want[:2] == ("raises", FifoViolation):
+        got, want = got[:2], want[:2]
+    assert same_outcome(got, want, same_flow_bits)
 
 
 @given(clustered_parts_st())
@@ -908,10 +929,9 @@ def test_volume_delay_sweep_steps_over_flat_exit_vertices(f, model):
     if got[0] == "raises":
         assert got[1] is FifoViolation, got
         return
-    xs, ys, et, e_lo, e_hi = got[1]
-    curve = ExitTimeCurve(np.array(xs), np.array(ys), 1.0, 1.0)
+    curve, et, e_lo, e_hi = got[1]
     out = CumulativeFlow.from_vertices(et, e_lo, e_hi)
-    events = set(xs) - set(f.times.tolist())
+    events = set(curve.xs.tolist()) - set(f.times.tolist())
     for k, t in enumerate(et):
         if t not in events:
             continue
